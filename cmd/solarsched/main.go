@@ -135,7 +135,7 @@ func run() int {
 		span.End()
 		if err != nil {
 			logger.Error("experiment failed", "experiment", name, "err", err)
-			if errors.Is(err, sim.ErrInterrupted) || errors.Is(err, context.Canceled) {
+			if errors.Is(err, sim.ErrCanceled) || errors.Is(err, context.Canceled) {
 				stopAndEmit(stop, &of) // flush what the finished experiments gathered
 			}
 			return cli.ExitCode(err)

@@ -78,6 +78,10 @@ func (pc PlanConfig) Validate() error {
 	if pc.Graph == nil {
 		return fmt.Errorf("core: nil graph")
 	}
+	if n := pc.Graph.N(); n > maxSubsetTasks {
+		return fmt.Errorf("core: graph %q has %d tasks; the period optimizer enumerates task subsets of at most %d",
+			pc.Graph.Name, n, maxSubsetTasks)
+	}
 	if err := pc.Base.Validate(); err != nil {
 		return err
 	}
@@ -133,12 +137,26 @@ func Alpha(g *task.Graph, te []bool, harvest float64) float64 {
 // FinePolicy returns the fine-grained slot stage of §5.2 for a period with
 // the given α: the simple inter-task stage (plain earliest-deadline ASAP,
 // cheap to run on the node) when |1−α| > δ, the intra-task load-matching
-// stage otherwise.
+// stage otherwise. It builds a fresh stage; planners that re-select the
+// stage every period or subset hold a finePolicies instead.
 func FinePolicy(g *task.Graph, alpha, delta float64) sim.SlotPolicy {
+	return newFinePolicies(g).pick(alpha, delta)
+}
+
+// finePolicies holds one instance of each fine-grained stage. Both stages
+// keep slot scratch, so a finePolicies serves one simulation at a time.
+type finePolicies struct{ inter, intra sim.SlotPolicy }
+
+func newFinePolicies(g *task.Graph) finePolicies {
+	return finePolicies{inter: interStagePolicy(g), intra: sched.NewIntraMatch(g).Policy()}
+}
+
+// pick applies the δ rule of §5.2 to the held stages.
+func (f finePolicies) pick(alpha, delta float64) sim.SlotPolicy {
 	if math.Abs(1-alpha) > delta {
-		return interStagePolicy(g)
+		return f.inter
 	}
-	return sched.NewIntraMatch(g).Policy()
+	return f.intra
 }
 
 // interStagePolicy is the "simple inter-task scheduling" of §5.2: when the

@@ -20,6 +20,7 @@ type Horizon struct {
 	fc       *solar.HorizonForecast
 	ahead    int // horizon in periods
 	name     string
+	fine     finePolicies
 	policy   sim.SlotPolicy
 	decision Decision
 
@@ -43,6 +44,7 @@ func NewHorizon(pc PlanConfig, fc *solar.HorizonForecast, predictionHours float6
 	}
 	return &Horizon{
 		pc: pc, lut: NewLUT(pc), fc: fc, ahead: ahead, name: "horizon-dp",
+		fine:     newFinePolicies(pc.Graph),
 		mReplans: pc.Observer.Counter("core_replans_total"),
 	}, nil
 }
@@ -120,7 +122,7 @@ func (h *Horizon) BeginPeriod(v *sim.PeriodView) sim.PeriodPlan {
 		h.decision.Te = full
 		h.decision.Alpha = Alpha(h.pc.Graph, full, harvest)
 	}
-	h.policy = FinePolicy(h.pc.Graph, h.decision.Alpha, h.pc.Delta)
+	h.policy = h.fine.pick(h.decision.Alpha, h.pc.Delta)
 
 	plan := sim.PeriodPlan{SwitchTo: -1, Allowed: h.decision.Te}
 	if h.decision.CapIdx != active {

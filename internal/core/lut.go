@@ -16,6 +16,7 @@ import (
 type LUT struct {
 	pc      PlanConfig
 	entries map[lutKey][]Option
+	solver  *periodSolver // builds entries; owns the period scratch
 
 	// Builds counts period-optimizer invocations (cache misses); Lookups
 	// counts queries. Their ratio shows how much the LUT compresses.
@@ -44,6 +45,7 @@ func NewLUT(pc PlanConfig) *LUT {
 	return &LUT{
 		pc:       pc,
 		entries:  make(map[lutKey][]Option),
+		solver:   newPeriodSolver(pc),
 		mHits:    reg.Counter("core_lut_hits_total"),
 		mMisses:  reg.Counter("core_lut_misses_total"),
 		mEntries: reg.Gauge("core_lut_entries"),
@@ -148,7 +150,7 @@ func (l *LUT) OptionsByKey(profile string, capIdx, vBucket int, powers []float64
 	}
 	l.Builds++
 	l.mMisses.Inc()
-	opts := PeriodOptions(l.pc.Capacitances[capIdx], l.BucketV(capIdx, vBucket), powers, l.pc)
+	opts := l.solver.frontier(l.pc.Capacitances[capIdx], l.BucketV(capIdx, vBucket), powers)
 	l.entries[key] = opts
 	l.mEntries.Set(float64(len(l.entries)))
 	return opts

@@ -15,7 +15,7 @@ type Optimal struct {
 	pc        PlanConfig
 	lut       *LUT
 	plan      PlanResult
-	policies  []sim.SlotPolicy
+	fine      finePolicies
 	decisions []Decision
 }
 
@@ -71,12 +71,10 @@ func NewOptimalFromPlan(pc PlanConfig, tr *solar.Trace, plan PlanResult, entries
 	if entries != nil {
 		lut.RestoreEntries(entries)
 	}
-	o := &Optimal{pc: pc, lut: lut, plan: plan, decisions: plan.Decisions}
-	o.policies = make([]sim.SlotPolicy, len(plan.Decisions))
-	for i, d := range plan.Decisions {
-		o.policies[i] = FinePolicy(pc.Graph, d.Alpha, pc.Delta)
-	}
-	return o, nil
+	return &Optimal{
+		pc: pc, lut: lut, plan: plan, decisions: plan.Decisions,
+		fine: newFinePolicies(pc.Graph),
+	}, nil
 }
 
 // Name implements sim.Scheduler.
@@ -101,5 +99,6 @@ func (o *Optimal) BeginPeriod(v *sim.PeriodView) sim.PeriodPlan {
 
 // Slot implements sim.Scheduler.
 func (o *Optimal) Slot(v *sim.SlotView) []int {
-	return o.policies[v.Base.PeriodIndex(v.Day, v.Period)](v)
+	d := o.decisions[v.Base.PeriodIndex(v.Day, v.Period)]
+	return o.fine.pick(d.Alpha, o.pc.Delta)(v)
 }

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"solarsched/internal/sim"
 	"solarsched/internal/supercap"
 	"solarsched/internal/task"
 )
+
+// maxSubsetTasks bounds the graphs the period optimizer accepts: it
+// enumerates up to 2^N task subsets. PlanConfig.Validate enforces it.
+const maxSubsetTasks = 16
 
 // ClosedSubsets enumerates every dependence-closed task subset of g as a
 // boolean mask: a subset is closed when each member's predecessors are all
@@ -15,8 +20,8 @@ import (
 // always included. Masks are returned in ascending popcount order.
 func ClosedSubsets(g *task.Graph) [][]bool {
 	n := g.N()
-	if n > 16 {
-		panic("core: ClosedSubsets limited to 16 tasks")
+	if n > maxSubsetTasks {
+		panic(fmt.Sprintf("core: ClosedSubsets limited to %d tasks", maxSubsetTasks))
 	}
 	var out [][]bool
 	for m := 0; m < 1<<uint(n); m++ {
@@ -57,8 +62,11 @@ func popcount(mask []bool) int {
 // executed-task set te, the pattern index α, the misses it costs and the
 // capacitor energy it consumes.
 type Option struct {
-	Misses      int
-	Te          []bool  // the allowed (and thus executed-intent) task set
+	Misses int
+	// Te is the allowed (and thus executed-intent) task set. The masks
+	// are the LUT's closed subsets, shared read-only across its entries:
+	// never modify one in place.
+	Te          []bool
 	Alpha       float64 // eq. (18) index for the fine-grained stage choice
 	CapConsumed float64 // E^c of eq. (15); negative = net charge
 	FinalV      float64
@@ -74,8 +82,44 @@ type Option struct {
 // This is the inner optimization of §4.2 (eqs. (15)–(17)); with N ≤ 8 tasks
 // the 2^N enumeration is exact — the paper's O(2^(N·Ns)) search collapsed
 // by the observation that within a period only the task *set* matters once
-// the fine-grained stage is fixed.
+// the fine-grained stage is fixed. PeriodOptions builds its scratch for one
+// call; a LUT keeps it across builds.
 func PeriodOptions(capC, v0 float64, powers []float64, pc PlanConfig) []Option {
+	return newPeriodSolver(pc).frontier(capC, v0, powers)
+}
+
+// periodSolver is PeriodOptions over scratch that outlives one call: the
+// graph's closed subsets, one instance of each fine-grained stage, one
+// capacitor and one period simulator. Once warm, a call allocates only
+// the returned frontier. It serves one goroutine at a time.
+type periodSolver struct {
+	pc      PlanConfig
+	subsets [][]bool
+	fine    finePolicies
+	cap     supercap.Capacitor
+	sim     *sim.PeriodSim
+
+	// Per miss count: the first option with the highest final voltage,
+	// and whether that count occurred (later: whether it is kept).
+	best  []Option
+	found []bool
+}
+
+func newPeriodSolver(pc PlanConfig) *periodSolver {
+	g := pc.Graph
+	return &periodSolver{
+		pc:      pc,
+		subsets: ClosedSubsets(g),
+		fine:    newFinePolicies(g),
+		sim:     sim.NewPeriodSim(g),
+		best:    make([]Option, g.N()+1),
+		found:   make([]bool, g.N()+1),
+	}
+}
+
+// frontier is PeriodOptions on the solver's scratch.
+func (ps *periodSolver) frontier(capC, v0 float64, powers []float64) []Option {
+	pc := ps.pc
 	g := pc.Graph
 	dt := pc.Base.SlotSeconds
 	harvest := 0.0
@@ -84,51 +128,42 @@ func PeriodOptions(capC, v0 float64, powers []float64, pc PlanConfig) []Option {
 	}
 	harvest *= dt
 
-	subsets := ClosedSubsets(g)
-	options := make([]Option, 0, len(subsets))
-	for _, te := range subsets {
+	best, found := ps.best, ps.found
+	for m := range found {
+		found[m] = false
+	}
+	for _, te := range ps.subsets {
 		alpha := Alpha(g, te, harvest)
-		policy := FinePolicy(g, alpha, pc.Delta)
-		cap_ := supercap.New(capC, pc.Params)
-		cap_.V = v0
-		out := sim.RunPeriodOnCap(cap_, powers, g, te, policy, dt, pc.DirectEff)
-		options = append(options, Option{
-			Misses:      out.Missed,
-			Te:          te,
-			Alpha:       alpha,
-			CapConsumed: out.CapConsumed,
-			FinalV:      out.FinalV,
-		})
+		ps.cap = supercap.Capacitor{C: capC, V: v0, P: pc.Params}
+		out := ps.sim.Run(&ps.cap, powers, te, ps.fine.pick(alpha, pc.Delta), dt, pc.DirectEff)
+		if m := out.Missed; !found[m] || out.FinalV > best[m].FinalV {
+			best[m] = Option{
+				Misses:      m,
+				Te:          te,
+				Alpha:       alpha,
+				CapConsumed: out.CapConsumed,
+				FinalV:      out.FinalV,
+			}
+			found[m] = true
+		}
 	}
-	return paretoByMissesEnergy(options)
-}
 
-// paretoByMissesEnergy keeps, for each miss count, the option with the
-// highest final voltage, then drops options dominated by a cheaper-or-equal
-// option with fewer misses.
-func paretoByMissesEnergy(options []Option) []Option {
-	bestAt := map[int]Option{}
-	for _, o := range options {
-		cur, ok := bestAt[o.Misses]
-		if !ok || o.FinalV > cur.FinalV {
-			bestAt[o.Misses] = o
+	// Pareto cut, by misses ascending: an option with more misses must buy
+	// strictly more final energy to be worth keeping.
+	kept, bestV := 0, -1.0
+	for m := range best {
+		if found[m] && best[m].FinalV > bestV {
+			bestV = best[m].FinalV
+			kept++
+		} else {
+			found[m] = false
 		}
 	}
-	misses := make([]int, 0, len(bestAt))
-	for m := range bestAt {
-		misses = append(misses, m)
-	}
-	sort.Ints(misses)
-	out := make([]Option, 0, len(misses))
-	bestV := -1.0
-	for _, m := range misses {
-		o := bestAt[m]
-		// An option with more misses must buy strictly more final energy to
-		// be worth keeping.
-		if o.FinalV > bestV {
-			out = append(out, o)
-			bestV = o.FinalV
+	options := make([]Option, 0, kept)
+	for m := range best {
+		if found[m] {
+			options = append(options, best[m])
 		}
 	}
-	return out
+	return options
 }

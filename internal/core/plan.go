@@ -181,7 +181,7 @@ func bestExactFirst(l *LUT, powers []float64, boundary bool, startCap int, start
 	best := firstChoice{cap: -1}
 	bestVal := 0.0
 	consider := func(c int, v float64) {
-		opts := PeriodOptions(pc.Capacitances[c], v, powers, pc)
+		opts := l.solver.frontier(pc.Capacitances[c], v, powers)
 		for _, o := range opts {
 			*expansions++
 			val := float64(o.Misses) + next[idx(c, l.BucketOf(c, o.FinalV))]

@@ -35,6 +35,7 @@ type Proposed struct {
 
 	prevPowers []float64
 	curPowers  []float64
+	fine       finePolicies
 	policy     sim.SlotPolicy
 	wcma       *solar.WCMA
 	// ws recycles the DBN forward-pass scratch across periods; a Proposed
@@ -121,6 +122,7 @@ func NewProposed(pc PlanConfig, net *ann.Network) (*Proposed, error) {
 		net:        net,
 		prevPowers: make([]float64, pc.Base.SlotsPerPeriod),
 		curPowers:  make([]float64, pc.Base.SlotsPerPeriod),
+		fine:       newFinePolicies(pc.Graph),
 		wcma:       solar.NewWCMA(0.5, 4, 3, pc.Base.PeriodsPerDay),
 	}, nil
 }
@@ -250,7 +252,7 @@ func (s *Proposed) BeginPeriod(v *sim.PeriodView) sim.PeriodPlan {
 		// Cold start with a corrupted α head: balanced pacing beats NaN.
 		alpha = 1
 	}
-	s.policy = FinePolicy(s.pc.Graph, alpha, s.pc.Delta)
+	s.policy = s.fine.pick(alpha, s.pc.Delta)
 
 	plan := sim.PeriodPlan{SwitchTo: -1, Allowed: te}
 	active := v.Bank.ActiveIndex()

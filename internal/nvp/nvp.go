@@ -22,6 +22,13 @@ type Set struct {
 
 	remaining []float64 // S'_n, seconds of execution left
 	missed    []bool    // θ fired: deadline passed with work remaining
+
+	// Scratch the per-slot calls reuse, so stepping a period allocates
+	// nothing: FilterRunnable's NVP occupancy and result, and
+	// CheckDeadlines' result.
+	busy     []bool
+	runnable []int
+	newly    []int
 }
 
 // NewSet returns a fresh execution state with every task's full execution
@@ -40,11 +47,21 @@ func NewSet(g *task.Graph) (*Set, error) {
 			return nil, fmt.Errorf("nvp: task %d bound to NVP %d of %d", n, t.NVP, g.NumNVPs)
 		}
 	}
-	s := &Set{G: g}
-	s.remaining = make([]float64, g.N())
-	s.missed = make([]bool, g.N())
+	s := newSet(g, make([]float64, g.N()), make([]bool, g.N()))
 	s.ResetPeriod()
 	return s, nil
+}
+
+// newSet returns a set over the given state slices with fresh scratch.
+func newSet(g *task.Graph, remaining []float64, missed []bool) *Set {
+	return &Set{
+		G:         g,
+		remaining: remaining,
+		missed:    missed,
+		busy:      make([]bool, g.NumNVPs),
+		runnable:  make([]int, 0, g.N()),
+		newly:     make([]int, 0, g.N()),
+	}
 }
 
 // MustNewSet is NewSet for call sites whose graph is already validated
@@ -94,10 +111,14 @@ func (s *Set) Ready(n int) bool {
 // FilterRunnable takes a priority-ordered candidate list and returns the
 // subset that can legally run in one slot: ready tasks only, at most one
 // per NVP (constraint (9)), first candidate per NVP wins. The result
-// preserves the input order.
+// preserves the input order. It is a buffer of the set, valid until the
+// next FilterRunnable call; order may be that buffer itself.
 func (s *Set) FilterRunnable(order []int) []int {
-	busy := make([]bool, s.G.NumNVPs)
-	out := make([]int, 0, len(order))
+	busy := s.busy
+	for k := range busy {
+		busy[k] = false
+	}
+	out := s.runnable[:0]
 	for _, n := range order {
 		if n < 0 || n >= s.G.N() {
 			panic(fmt.Sprintf("nvp: task id %d out of range", n))
@@ -112,6 +133,7 @@ func (s *Set) FilterRunnable(order []int) []int {
 		busy[k] = true
 		out = append(out, n)
 	}
+	s.runnable = out
 	return out
 }
 
@@ -173,15 +195,17 @@ func pow(base, exp float64) float64 {
 // CheckDeadlines fires the θ function at a slot boundary: every task whose
 // deadline is at or before elapsed seconds into the period and that still
 // has work remaining is marked missed (and aborted). It returns the tasks
-// newly missed at this boundary.
+// newly missed at this boundary, in a buffer of the set that is valid until
+// the next CheckDeadlines call.
 func (s *Set) CheckDeadlines(elapsed float64) []int {
-	var newly []int
+	newly := s.newly[:0]
 	for n, t := range s.G.Tasks {
 		if !s.missed[n] && s.remaining[n] > 0 && t.Deadline <= elapsed+1e-9 {
 			s.missed[n] = true
 			newly = append(newly, n)
 		}
 	}
+	s.newly = newly
 	return newly
 }
 
@@ -212,8 +236,5 @@ func (s *Set) PendingEnergy() float64 {
 
 // Clone returns an independent copy of the execution state (for planners).
 func (s *Set) Clone() *Set {
-	out := &Set{G: s.G}
-	out.remaining = append([]float64(nil), s.remaining...)
-	out.missed = append([]bool(nil), s.missed...)
-	return out
+	return newSet(s.G, append([]float64(nil), s.remaining...), append([]bool(nil), s.missed...))
 }

@@ -117,6 +117,7 @@ type InterLSA struct {
 	pred      solar.Predictor
 	directEff float64
 	admitted  []bool
+	out       []int // Slot's result buffer
 
 	// Admission telemetry (nil-safe instruments): how many tasks each
 	// period admitted or rejected, and the WCMA forecast's absolute error
@@ -156,6 +157,7 @@ func NewInterLSAWithPredictor(g *task.Graph, directEff float64, pred solar.Predi
 		pred:      pred,
 		directEff: directEff,
 		admitted:  make([]bool, g.N()),
+		out:       make([]int, 0, g.N()),
 	}
 }
 
@@ -224,7 +226,7 @@ func (s *InterLSA) BeginPeriod(v *sim.PeriodView) sim.PeriodPlan {
 // the capacitor), then lazy tasks only as far as the current solar surplus
 // carries them for free.
 func (s *InterLSA) Slot(v *sim.SlotView) []int {
-	out := make([]int, 0, s.g.N())
+	out := s.out[:0]
 	load := 0.0
 	for _, n := range s.edf {
 		if !s.admitted[n] || !v.Tasks.Ready(n) {
@@ -245,6 +247,7 @@ func (s *InterLSA) Slot(v *sim.SlotView) []int {
 			load += p
 		}
 	}
+	s.out = out
 	return out
 }
 
@@ -257,12 +260,20 @@ type IntraMatch struct {
 	g   *task.Graph
 	eff []float64
 	edf []int
+
+	// Slot scratch: the returned task list and the NVP occupancy.
+	out  []int
+	busy []bool
 }
 
 // NewIntraMatch returns the Intra-task baseline for the graph.
 func NewIntraMatch(g *task.Graph) *IntraMatch {
 	eff := EffectiveDeadlines(g)
-	return &IntraMatch{g: g, eff: eff, edf: byDeadline(eff)}
+	return &IntraMatch{
+		g: g, eff: eff, edf: byDeadline(eff),
+		out:  make([]int, 0, g.N()),
+		busy: make([]bool, g.NumNVPs),
+	}
 }
 
 // Name implements sim.Scheduler.
@@ -273,50 +284,54 @@ func (s *IntraMatch) BeginPeriod(*sim.PeriodView) sim.PeriodPlan { return sim.Ke
 
 // Slot implements sim.Scheduler.
 func (s *IntraMatch) Slot(v *sim.SlotView) []int {
-	return s.Policy()(v)
+	out := s.out[:0]
+	load := 0.0
+	// Urgent tasks run regardless of supply.
+	for _, n := range s.edf {
+		if v.Tasks.Ready(n) && urgent(v, n, s.eff) {
+			out = append(out, n)
+			load += s.g.Tasks[n].Power
+		}
+	}
+	// Fill toward the solar supply with the largest fitting powers:
+	// best direct-use of the harvest (the load-matching objective).
+	avail := v.SolarPower * v.DirectEff
+	busy := s.busy
+	for k := range busy {
+		busy[k] = false
+	}
+	for _, n := range out {
+		busy[s.g.Tasks[n].NVP] = true
+	}
+	for load < avail {
+		best := -1
+		for _, n := range s.edf {
+			if contains(out, n) || !v.Tasks.Ready(n) || busy[s.g.Tasks[n].NVP] {
+				continue
+			}
+			p := s.g.Tasks[n].Power
+			if load+p > avail+1e-12 {
+				continue
+			}
+			if best < 0 || p > s.g.Tasks[best].Power {
+				best = n
+			}
+		}
+		if best < 0 {
+			break
+		}
+		out = append(out, best)
+		load += s.g.Tasks[best].Power
+		busy[s.g.Tasks[best].NVP] = true
+	}
+	s.out = out
+	return out
 }
 
 // Policy returns the load-matching slot policy, reusable as the
 // fine-grained stage of other schedulers (§5.2 uses it when |1−α| ≤ δ).
-func (s *IntraMatch) Policy() sim.SlotPolicy {
-	return func(v *sim.SlotView) []int {
-		out := make([]int, 0, s.g.N())
-		load := 0.0
-		// Urgent tasks run regardless of supply.
-		for _, n := range s.edf {
-			if v.Tasks.Ready(n) && urgent(v, n, s.eff) {
-				out = append(out, n)
-				load += s.g.Tasks[n].Power
-			}
-		}
-		// Fill toward the solar supply with the largest fitting powers:
-		// best direct-use of the harvest (the load-matching objective).
-		avail := v.SolarPower * v.DirectEff
-		busy := nvpBusy(s.g, out)
-		for load < avail {
-			best := -1
-			for _, n := range s.edf {
-				if contains(out, n) || !v.Tasks.Ready(n) || busy[s.g.Tasks[n].NVP] {
-					continue
-				}
-				p := s.g.Tasks[n].Power
-				if load+p > avail+1e-12 {
-					continue
-				}
-				if best < 0 || p > s.g.Tasks[best].Power {
-					best = n
-				}
-			}
-			if best < 0 {
-				break
-			}
-			out = append(out, best)
-			load += s.g.Tasks[best].Power
-			busy[s.g.Tasks[best].NVP] = true
-		}
-		return out
-	}
-}
+// It shares the scheduler's slot scratch.
+func (s *IntraMatch) Policy() sim.SlotPolicy { return s.Slot }
 
 // LazyPolicy returns InterLSA's slot behavior (ignoring admission) as a
 // standalone policy: urgent tasks plus free direct-solar execution. The
@@ -356,31 +371,49 @@ func EDFPolicy(g *task.Graph) sim.SlotPolicy {
 
 // CheapestFirstPolicy orders tasks by remaining energy cost ascending:
 // with a fixed energy store, finishing cheap tasks first maximizes the
-// number of deadlines met. The proposed scheduler's planner uses it for
-// night periods.
+// number of deadlines met. Urgent ready tasks jump the queue; ties fall to
+// the earlier effective deadline D', then to the lower task index. The
+// proposed scheduler's planner uses it for night periods.
 func CheapestFirstPolicy(g *task.Graph) sim.SlotPolicy {
 	eff := EffectiveDeadlines(g)
+	order := make([]int, g.N())
+	keys := make([]cheapKey, g.N())
 	return func(v *sim.SlotView) []int {
-		order := make([]int, 0, g.N())
-		for n := 0; n < g.N(); n++ {
-			order = append(order, n)
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			ca := v.Tasks.Remaining(order[a]) * g.Tasks[order[a]].Power
-			cb := v.Tasks.Remaining(order[b]) * g.Tasks[order[b]].Power
-			if ca != cb {
-				return ca < cb
+		for n := range keys {
+			keys[n] = cheapKey{
+				urgent: v.Tasks.Ready(n) && urgent(v, n, eff),
+				cost:   v.Tasks.Remaining(n) * g.Tasks[n].Power,
+				eff:    eff[n],
 			}
-			return eff[order[a]] < eff[order[b]]
-		})
-		// Urgent tasks jump the queue.
-		sort.SliceStable(order, func(a, b int) bool {
-			ua := v.Tasks.Ready(order[a]) && urgent(v, order[a], eff)
-			ub := v.Tasks.Ready(order[b]) && urgent(v, order[b], eff)
-			return ua && !ub
-		})
+		}
+		// Stable insertion sort: task n moves only past strictly later
+		// keys, so equal keys stay in index order.
+		for n := range order {
+			j := n
+			for ; j > 0 && keys[n].before(keys[order[j-1]]); j-- {
+				order[j] = order[j-1]
+			}
+			order[j] = n
+		}
 		return order
 	}
+}
+
+// cheapKey is one task's CheapestFirstPolicy sort key for a slot.
+type cheapKey struct {
+	urgent bool    // ready and out of slack: runs first
+	cost   float64 // remaining energy S'_n·P_n (J)
+	eff    float64 // effective deadline D'_n
+}
+
+func (a cheapKey) before(b cheapKey) bool {
+	if a.urgent != b.urgent {
+		return a.urgent
+	}
+	if a.cost != b.cost {
+		return a.cost < b.cost
+	}
+	return a.eff < b.eff
 }
 
 func contains(xs []int, v int) bool {
@@ -390,12 +423,4 @@ func contains(xs []int, v int) bool {
 		}
 	}
 	return false
-}
-
-func nvpBusy(g *task.Graph, selected []int) []bool {
-	busy := make([]bool, g.NumNVPs)
-	for _, n := range selected {
-		busy[g.Tasks[n].NVP] = true
-	}
-	return busy
 }

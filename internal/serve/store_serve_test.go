@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"solarsched/internal/store"
 )
@@ -69,7 +71,7 @@ func TestStoreWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts1 := newTestServer(t, Config{Store: st1})
+	s1, ts1 := newTestServer(t, Config{Store: st1})
 	code, b := postJSON(t, ts1.URL+"/v1/runs?wait=1", testSpec)
 	if code != http.StatusOK {
 		t.Fatalf("cold submit: HTTP %d: %s", code, b)
@@ -79,8 +81,16 @@ func TestStoreWarmRestart(t *testing.T) {
 		t.Fatalf("cold job: state %s report %+v", stat1.State, rep1)
 	}
 
-	// "Restart": a fresh store handle, cache and daemon over the same
-	// directory. Verify is the boot-time adoption pass solarschedd runs.
+	// "Restart": stop the first daemon, then a fresh store handle, cache
+	// and daemon over the same directory. The stop matters: the executor
+	// runs a store GC after each job, after its waiters are released, and
+	// that GC holds the maintenance lock the boot-time Verify needs.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatalf("stopping the first daemon: %v", err)
+	}
+	// Verify is the boot-time adoption pass solarschedd runs.
 	st2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -27,22 +27,45 @@ type PeriodOutcome struct {
 // applied to the capacitor each slot, matching the full engine.
 func RunPeriodOnCap(cap *supercap.Capacitor, powers []float64, g *task.Graph,
 	allowed []bool, policy SlotPolicy, dt, directEff float64) PeriodOutcome {
+	return NewPeriodSim(g).Run(cap, powers, allowed, policy, dt, directEff)
+}
 
-	ts := nvp.MustNewSet(g)
-	out := PeriodOutcome{Executed: make([]bool, g.N())}
+// PeriodSim is RunPeriodOnCap for callers that simulate many periods of
+// one graph: it keeps the task state and the slot step's scratch between
+// calls, so a warm Run allocates nothing. A PeriodSim serves one goroutine
+// at a time.
+type PeriodSim struct {
+	ts       *nvp.Set
+	step     slotStep
+	executed []bool
+}
+
+// NewPeriodSim returns a period simulator for a validated graph.
+func NewPeriodSim(g *task.Graph) *PeriodSim {
+	return &PeriodSim{ts: nvp.MustNewSet(g), executed: make([]bool, g.N())}
+}
+
+// Run simulates one period exactly as RunPeriodOnCap does. The outcome's
+// Executed mask is the simulator's buffer, valid until the next Run.
+func (p *PeriodSim) Run(cap *supercap.Capacitor, powers []float64,
+	allowed []bool, policy SlotPolicy, dt, directEff float64) PeriodOutcome {
+
+	ts := p.ts
+	ts.ResetPeriod()
+	for n := range p.executed {
+		p.executed[n] = false
+	}
+	out := PeriodOutcome{Executed: p.executed}
 	startUsable := cap.UsableEnergy()
+	sv := &p.step.view
 	for slot, solarW := range powers {
-		sv := &SlotView{
+		*sv = SlotView{
 			Slot: slot, SolarPower: solarW, Cap: cap, Tasks: ts,
 			DirectEff: directEff,
 		}
 		sv.Base.SlotSeconds = dt
 		sv.Base.SlotsPerPeriod = len(powers)
-		order := policy(sv)
-		if allowed != nil {
-			order = filterAllowed(order, allowed)
-		}
-		st := ExecSlot(cap, ts, order, solarW, dt, directEff)
+		st := p.step.exec(cap, ts, policy(sv), allowed, solarW, dt, directEff)
 		for _, n := range st.Ran {
 			out.Executed[n] = true
 		}

@@ -73,7 +73,9 @@ type SlotView struct {
 // beginning of the slot.
 func (v *SlotView) Elapsed() float64 { return float64(v.Slot) * v.Base.SlotSeconds }
 
-// Scheduler is the contract every scheduling algorithm implements.
+// Scheduler is the contract every scheduling algorithm implements. A
+// scheduler instance serves one run at a time: it may keep per-run state
+// and slot scratch.
 type Scheduler interface {
 	// Name identifies the scheduler in reports.
 	Name() string
@@ -82,11 +84,17 @@ type Scheduler interface {
 	// Slot returns the tasks to execute in this slot, highest priority
 	// first. The engine filters the list for readiness and one-task-per-NVP
 	// and trims it from the tail if the energy cannot carry the load.
+	// The returned slice is valid only until the next Slot call: it may be
+	// the scheduler's own buffer, so callers read it and never keep or
+	// modify it. The engine reuses one SlotView for the whole run, so a
+	// scheduler must not keep v either.
 	Slot(v *SlotView) []int
 }
 
 // SlotPolicy is a slot-level scheduling function, used standalone by the
-// planners in internal/core to simulate candidate periods.
+// planners in internal/core to simulate candidate periods. Like
+// Scheduler.Slot, its result is valid only until the next call and callers
+// never keep it; a policy with scratch serves one simulation at a time.
 type SlotPolicy func(v *SlotView) []int
 
 // SpeedScheduler is an optional Scheduler extension for DVFS-capable nodes
@@ -212,12 +220,6 @@ func (e *Engine) Config() Config { return e.cfg }
 // bit-identical results. Test with errors.Is(err, sim.ErrCanceled).
 var ErrCanceled = errors.New("sim: run canceled")
 
-// ErrInterrupted is the former name of ErrCanceled, kept as an alias so
-// existing errors.Is checks keep working.
-//
-// Deprecated: use ErrCanceled.
-var ErrInterrupted = ErrCanceled
-
 // ErrConfigMismatch is wrapped into every error that rejects a checkpoint
 // against the engine or scheduler that tries to resume it: wrong scheduler,
 // wrong config digest, wrong schema version, inconsistent cursor. Callers
@@ -232,8 +234,8 @@ type RunOptions struct {
 	Recorder Recorder
 
 	// Context cancels the run at the next period boundary; the run then
-	// flushes a final checkpoint (if a sink is set) and returns
-	// ErrInterrupted. Nil means never canceled.
+	// flushes a final checkpoint (if a sink is set) and returns an error
+	// wrapping ErrCanceled. Nil means never canceled.
 	Context context.Context
 
 	// Resume restarts the run from a previously captured RunState instead
@@ -375,6 +377,13 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 	trims := 0
 	loadBatch := e.m.slotLoadBatch()
 
+	var step slotStep
+	sv := &step.view
+	var speedsFor func(run []int) []float64
+	if ss, ok := s.(SpeedScheduler); ok {
+		speedsFor = func(run []int) []float64 { return ss.Speeds(sv, run) }
+	}
+
 	every := opts.CheckpointEvery
 	if every <= 0 {
 		every = 1
@@ -480,7 +489,7 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 				slotSpan.End()
 				continue
 			}
-			sv := &SlotView{
+			*sv = SlotView{
 				Day: day, Period: period, Slot: slot, Base: tb,
 				SolarPower: solarW, Cap: bank.Active(), Bank: bank,
 				Tasks: ts, DirectEff: e.cfg.DirectEff,
@@ -495,16 +504,12 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 				sv.Cap = obsBank.Active()
 			}
 			order := s.Slot(sv)
-			if plan.Allowed != nil {
-				order = filterAllowed(order, plan.Allowed)
-			}
 			var st SlotStats
-			if ss, ok := s.(SpeedScheduler); ok {
-				st = ExecSlotDVFS(bank.Active(), ts, order,
-					func(run []int) []float64 { return ss.Speeds(sv, run) },
-					solarW, dt, e.cfg.DirectEff)
+			if speedsFor != nil {
+				st = ExecSlotDVFS(bank.Active(), ts, step.filterAllowed(order, plan.Allowed),
+					speedsFor, solarW, dt, e.cfg.DirectEff)
 			} else {
-				st = ExecSlot(bank.Active(), ts, order, solarW, dt, e.cfg.DirectEff)
+				st = step.exec(bank.Active(), ts, order, plan.Allowed, solarW, dt, e.cfg.DirectEff)
 			}
 			res.Harvested += solarW * dt
 			res.Delivered += st.LoadPower * dt
@@ -567,13 +572,36 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 	return res, nil
 }
 
-func filterAllowed(order []int, allowed []bool) []int {
-	out := order[:0:0]
+// slotStep is the slot execution Engine.run and PeriodSim share: the
+// allowed-mask filter, then ExecSlot (FilterRunnable, brown-out trim, run,
+// settle). Its scratch belongs to one run, so a warm step allocates
+// nothing. Leakage, deadlines, faults, DVFS and recording stay with the
+// drivers.
+type slotStep struct {
+	view    SlotView // the run's one SlotView, reset every slot
+	allowed []int    // filterAllowed's result
+}
+
+// exec executes order under the period's allowed mask (nil permits every
+// task) on cap and ts.
+func (st *slotStep) exec(cap *supercap.Capacitor, ts *nvp.Set, order []int, allowed []bool,
+	solarW, dt, directEff float64) SlotStats {
+	return ExecSlot(cap, ts, st.filterAllowed(order, allowed), solarW, dt, directEff)
+}
+
+// filterAllowed drops the tasks outside allowed (and out-of-range ids),
+// preserving order. The result is the step's buffer unless allowed is nil.
+func (st *slotStep) filterAllowed(order []int, allowed []bool) []int {
+	if allowed == nil {
+		return order
+	}
+	out := st.allowed[:0]
 	for _, n := range order {
 		if n >= 0 && n < len(allowed) && allowed[n] {
 			out = append(out, n)
 		}
 	}
+	st.allowed = out
 	return out
 }
 
@@ -587,7 +615,7 @@ func bankEnergy(b *supercap.Bank) float64 {
 
 // SlotStats is the energy ledger of one executed slot.
 type SlotStats struct {
-	Ran            []int   // tasks that actually executed
+	Ran            []int   // tasks that actually executed; the nvp.Set's buffer, valid until its next FilterRunnable
 	Trimmed        int     // runnable tasks dropped on brownout
 	LoadPower      float64 // W delivered to the NVPs
 	SurplusOffered float64 // J offered to the capacitor input

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"solarsched/internal/nvp"
+	"solarsched/internal/sched"
 	"solarsched/internal/sim"
 	"solarsched/internal/solar"
 	"solarsched/internal/supercap"
@@ -334,6 +335,51 @@ func TestRunPeriodOnCapBasics(t *testing.T) {
 	}
 }
 
+// A PeriodSim reused across periods must answer each one exactly as a
+// fresh RunPeriodOnCap does: no task progress, miss flag, executed mark or
+// filter scratch may leak from the previous period.
+func TestPeriodSimReuseMatchesFresh(t *testing.T) {
+	g := task.ECG()
+	p := supercap.DefaultParams()
+	policy := func(v *sim.SlotView) []int { return edfOrder(g) }
+	bright, dim := make([]float64, 30), make([]float64, 30)
+	for i := range bright {
+		bright[i] = 0.08
+		dim[i] = 0.002 * float64(i%4)
+	}
+	firstHalf := make([]bool, g.N())
+	for n := range firstHalf {
+		firstHalf[n] = n < g.N()/2
+	}
+	ps := sim.NewPeriodSim(g)
+	for i, c := range []struct {
+		charge  float64
+		powers  []float64
+		allowed []bool
+	}{
+		{20, bright, nil},
+		{0, make([]float64, 30), nil},
+		{2, dim, firstHalf},
+		{20, bright, nil},
+		{0.5, dim, nil},
+	} {
+		a, b := supercap.New(10, p), supercap.New(10, p)
+		a.Charge(c.charge)
+		b.Charge(c.charge)
+		got := ps.Run(a, c.powers, c.allowed, policy, 60, 0.95)
+		want := sim.RunPeriodOnCap(b, c.powers, g, c.allowed, policy, 60, 0.95)
+		if got.Missed != want.Missed || got.CapConsumed != want.CapConsumed || got.FinalV != want.FinalV ||
+			got.Delivered != want.Delivered || got.Harvested != want.Harvested {
+			t.Fatalf("period %d: reused %+v, fresh %+v", i, got, want)
+		}
+		for n := range want.Executed {
+			if got.Executed[n] != want.Executed[n] {
+				t.Fatalf("period %d: reused executed %v, fresh %v", i, got.Executed, want.Executed)
+			}
+		}
+	}
+}
+
 func TestRunPeriodOnCapConsumedSign(t *testing.T) {
 	g := task.ECG()
 	p := supercap.DefaultParams()
@@ -398,5 +444,21 @@ func BenchmarkEngineDayWAM(b *testing.B) {
 		if _, err := e.Run(context.Background(), greedyEDF{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestEngineDayAllocsPerPeriod(t *testing.T) {
+	tb := solar.DefaultTimeBase(1)
+	tr := solar.RepresentativeDays(tb).SliceDays(0, 1)
+	g := task.WAM()
+	e := mustEngine(t, sim.Config{Trace: tr, Graph: g, Capacitances: []float64{25}})
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := e.Run(context.Background(), sched.NewIntraMatch(g)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per day, %.2f per period", allocs, allocs/float64(tb.PeriodsPerDay))
+	if per := allocs / float64(tb.PeriodsPerDay); per > 10 {
+		t.Errorf("one WAM day allocates %.0f times, %.1f per period; want at most 10 per period", allocs, per)
 	}
 }

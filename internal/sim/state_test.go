@@ -55,7 +55,7 @@ func TestResultDigestDeterministic(t *testing.T) {
 	}
 }
 
-// Cancellation mid-run returns sim.ErrInterrupted, flushes a final checkpoint
+// Cancellation mid-run returns sim.ErrCanceled, flushes a final checkpoint
 // through the sink, and the checkpoint resumes to the uninterrupted
 // digest — the graceful-shutdown path of the CLIs.
 func TestRunContextCancelResumesIdentically(t *testing.T) {
@@ -78,8 +78,8 @@ func TestRunContextCancelResumesIdentically(t *testing.T) {
 			}
 			return nil
 		}))
-	if !errors.Is(runErr, sim.ErrInterrupted) {
-		t.Fatalf("err = %v, want sim.ErrInterrupted", runErr)
+	if !errors.Is(runErr, sim.ErrCanceled) {
+		t.Fatalf("err = %v, want sim.ErrCanceled", runErr)
 	}
 	if last == nil {
 		t.Fatal("no checkpoint flushed on cancellation")
@@ -107,8 +107,8 @@ func TestRunContextAlreadyCancelled(t *testing.T) {
 	var last *sim.RunState
 	_, err := e.Run(ctx, sched.NewInterLSA(g, tb, sim.DefaultDirectEff),
 		sim.WithSink(func(rs *sim.RunState) error { last = rs; return nil }))
-	if !errors.Is(err, sim.ErrInterrupted) {
-		t.Fatalf("err = %v, want sim.ErrInterrupted", err)
+	if !errors.Is(err, sim.ErrCanceled) {
+		t.Fatalf("err = %v, want sim.ErrCanceled", err)
 	}
 	if last == nil || last.NextPeriod != 0 {
 		t.Fatalf("checkpoint %+v, want NextPeriod 0", last)
