@@ -24,6 +24,9 @@ type Horizon struct {
 	policy   sim.SlotPolicy
 	decision Decision
 
+	window [][]float64 // the forecast window, reused every period
+	full   []bool      // every task; read-only, like the LUT's subsets
+
 	// Expansions accumulates DP option evaluations over the whole run —
 	// the complexity series of Figure 10(a). Replans counts DP runs.
 	Expansions int
@@ -42,9 +45,15 @@ func NewHorizon(pc PlanConfig, fc *solar.HorizonForecast, predictionHours float6
 	if ahead < 1 {
 		ahead = 1
 	}
+	full := make([]bool, pc.Graph.N())
+	for i := range full {
+		full[i] = true
+	}
 	return &Horizon{
 		pc: pc, lut: NewLUT(pc), fc: fc, ahead: ahead, name: "horizon-dp",
 		fine:     newFinePolicies(pc.Graph),
+		window:   make([][]float64, ahead),
+		full:     full,
 		mReplans: pc.Observer.Counter("core_replans_total"),
 	}, nil
 }
@@ -92,10 +101,11 @@ func (h *Horizon) BeginPeriod(v *sim.PeriodView) sim.PeriodPlan {
 	now := tb.PeriodIndex(v.Day, v.Period)
 	last := tb.TotalPeriods() - 1
 
-	powers := make([][]float64, 0, h.ahead)
-	for t := 0; t < h.ahead && now+t <= last; t++ {
+	n := min(h.ahead, last-now+1)
+	powers := h.window[:n]
+	for t := range powers {
 		flat := now + t
-		powers = append(powers, h.fc.PeriodPowers(v.Day, v.Period, flat/tb.PeriodsPerDay, flat%tb.PeriodsPerDay))
+		powers[t] = h.fc.AppendPeriodPowers(powers[t], v.Day, v.Period, flat/tb.PeriodsPerDay, flat%tb.PeriodsPerDay)
 	}
 	active := v.Bank.ActiveIndex()
 	res := PlanHorizon(h.lut, powers, v.Period, active, v.Bank.Active().V)
@@ -114,13 +124,9 @@ func (h *Horizon) BeginPeriod(v *sim.PeriodView) sim.PeriodPlan {
 		harvest += p
 	}
 	harvest *= h.pc.Base.SlotSeconds
-	full := make([]bool, h.pc.Graph.N())
-	for i := range full {
-		full[i] = true
-	}
-	if Alpha(h.pc.Graph, full, harvest) <= 1 {
-		h.decision.Te = full
-		h.decision.Alpha = Alpha(h.pc.Graph, full, harvest)
+	if Alpha(h.pc.Graph, h.full, harvest) <= 1 {
+		h.decision.Te = h.full
+		h.decision.Alpha = Alpha(h.pc.Graph, h.full, harvest)
 	}
 	h.policy = h.fine.pick(h.decision.Alpha, h.pc.Delta)
 

@@ -18,6 +18,13 @@ type LUT struct {
 	entries map[lutKey][]Option
 	solver  *periodSolver // builds entries; owns the period scratch
 
+	// profiles interns ProfileKey's strings by (energy, peak) bucket, so
+	// a known profile costs no allocation.
+	profiles map[[2]int]string
+	// transfer[(from*H+to)*B+b] is TransferBucket(from, b, to)'s bucket.
+	transfer []int
+	plan     planScratch // PlanHorizon's tables, reused across calls
+
 	// Builds counts period-optimizer invocations (cache misses); Lookups
 	// counts queries. Their ratio shows how much the LUT compresses.
 	Builds, Lookups int
@@ -42,16 +49,38 @@ func NewLUT(pc PlanConfig) *LUT {
 		panic("core: " + err.Error())
 	}
 	reg := pc.Observer
-	return &LUT{
+	l := &LUT{
 		pc:       pc,
 		entries:  make(map[lutKey][]Option),
-		solver:   newPeriodSolver(pc),
+		solver:   newPeriodSolver(pc).withTraces(),
+		profiles: make(map[[2]int]string),
 		mHits:    reg.Counter("core_lut_hits_total"),
 		mMisses:  reg.Counter("core_lut_misses_total"),
 		mEntries: reg.Gauge("core_lut_entries"),
 		mSolve:   reg.Timer("core_dp_solve_seconds"),
 		mExpand:  reg.Counter("core_dp_expansions_total"),
 	}
+	H, B := len(pc.Capacitances), pc.VBuckets
+	l.transfer = make([]int, H*H*B)
+	for from := 0; from < H; from++ {
+		for to := 0; to < H; to++ {
+			for b := 0; b < B; b++ {
+				bTo := b
+				if to != from {
+					bTo, _ = l.TransferBucket(from, b, to)
+				}
+				l.transfer[(from*H+to)*B+b] = bTo
+			}
+		}
+	}
+	return l
+}
+
+// transferTo is TransferBucket's destination bucket from the table; a
+// capacitor "switched" to itself keeps its bucket.
+func (l *LUT) transferTo(from, b, to int) int {
+	H, B := len(l.pc.Capacitances), l.pc.VBuckets
+	return l.transfer[(from*H+to)*B+b]
 }
 
 // Config returns the table's plan configuration.
@@ -69,6 +98,7 @@ func (l *LUT) SetObserver(reg *obs.Registry) {
 	l.mEntries = reg.Gauge("core_lut_entries")
 	l.mSolve = reg.Timer("core_dp_solve_seconds")
 	l.mExpand = reg.Counter("core_dp_expansions_total")
+	l.solver.setObserver(reg)
 }
 
 // ProfileKey quantizes a period's slot powers into the LUT key: a
@@ -93,7 +123,12 @@ func (l *LUT) ProfileKey(powers []float64) string {
 	}
 	eb := int(math.Round(4 * math.Log2(1+total)))
 	pb := int(math.Round(2 * math.Log2(1+peak*1000)))
-	return fmt.Sprintf("e%d|p%d", eb, pb)
+	key, ok := l.profiles[[2]int{eb, pb}]
+	if !ok {
+		key = fmt.Sprintf("e%d|p%d", eb, pb)
+		l.profiles[[2]int{eb, pb}] = key
+	}
+	return key
 }
 
 // Buckets returns the number of voltage buckets.
@@ -204,9 +239,9 @@ func (l *LUT) RestoreEntries(entries []LUTEntry) {
 // it returns the destination bucket and the energy lost. This models the
 // day-boundary capacitor switch of the long-term optimization.
 func (l *LUT) TransferBucket(from, bFrom, to int) (bTo int, lost float64) {
-	src := supercap.New(l.pc.Capacitances[from], l.pc.Params)
-	src.V = l.BucketV(from, bFrom)
-	dst := supercap.New(l.pc.Capacitances[to], l.pc.Params)
+	p := l.pc.Params
+	src := supercap.Capacitor{C: l.pc.Capacitances[from], V: l.BucketV(from, bFrom), P: p}
+	dst := supercap.Capacitor{C: l.pc.Capacitances[to], V: p.VLow, P: p}
 	before := src.UsableEnergy()
 	moved := src.Discharge(src.Deliverable())
 	stored := dst.Charge(moved)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
+	"solarsched/internal/obs"
 	"solarsched/internal/sim"
 	"solarsched/internal/supercap"
 	"solarsched/internal/task"
@@ -83,15 +85,17 @@ type Option struct {
 // the 2^N enumeration is exact — the paper's O(2^(N·Ns)) search collapsed
 // by the observation that within a period only the task *set* matters once
 // the fine-grained stage is fixed. PeriodOptions builds its scratch for one
-// call; a LUT keeps it across builds.
+// call; a LUT keeps it across builds and replays each subset's recorded
+// task trajectory across the start voltages and capacitors it asks for.
 func PeriodOptions(capC, v0 float64, powers []float64, pc PlanConfig) []Option {
 	return newPeriodSolver(pc).frontier(capC, v0, powers)
 }
 
 // periodSolver is PeriodOptions over scratch that outlives one call: the
 // graph's closed subsets, one instance of each fine-grained stage, one
-// capacitor and one period simulator. Once warm, a call allocates only
-// the returned frontier. It serves one goroutine at a time.
+// capacitor, one period simulator and (withTraces) one recorded trajectory
+// per subset. Once warm, a call allocates only the returned frontier. It
+// serves one goroutine at a time.
 type periodSolver struct {
 	pc      PlanConfig
 	subsets [][]bool
@@ -99,15 +103,29 @@ type periodSolver struct {
 	cap     supercap.Capacitor
 	sim     *sim.PeriodSim
 
+	// traces[i] is subset i's task trajectory under the slot powers in
+	// powers, recorded at some earlier capacitor and start voltage. A
+	// build replays it and simulates the subset in full only when its
+	// brown-out trim differs (sim.PeriodTrace). Nil without withTraces.
+	traces []sim.PeriodTrace
+	powers []float64
+
 	// Per miss count: the first option with the highest final voltage,
 	// and whether that count occurred (later: whether it is kept).
 	best  []Option
 	found []bool
+
+	mReplays, mFull *obs.Counter
 }
+
+// maxTraceLoads bounds the prefix loads a solver's traces may hold (8 MiB):
+// a graph near maxSubsetTasks with few dependences has tens of thousands
+// of closed subsets, and its solver then simulates every subset in full.
+const maxTraceLoads = 1 << 20
 
 func newPeriodSolver(pc PlanConfig) *periodSolver {
 	g := pc.Graph
-	return &periodSolver{
+	ps := &periodSolver{
 		pc:      pc,
 		subsets: ClosedSubsets(g),
 		fine:    newFinePolicies(g),
@@ -115,6 +133,27 @@ func newPeriodSolver(pc PlanConfig) *periodSolver {
 		best:    make([]Option, g.N()+1),
 		found:   make([]bool, g.N()+1),
 	}
+	ps.setObserver(pc.Observer)
+	return ps
+}
+
+// withTraces gives the solver one trace per subset, unless they would
+// exceed maxTraceLoads. PeriodOptions goes without: one build simulates
+// each subset once, so its traces would be storage never replayed.
+func (ps *periodSolver) withTraces() *periodSolver {
+	g, slots := ps.pc.Graph, ps.pc.Base.SlotsPerPeriod
+	if len(ps.subsets)*slots*(g.NumNVPs+1) <= maxTraceLoads {
+		ps.traces = sim.NewPeriodTraces(g, len(ps.subsets), slots)
+		ps.powers = make([]float64, 0, slots)
+	}
+	return ps
+}
+
+// setObserver resolves the solver's counters against reg (nil disables
+// them).
+func (ps *periodSolver) setObserver(reg *obs.Registry) {
+	ps.mReplays = reg.Counter("core_period_sims_total", obs.L("path", "replay"))
+	ps.mFull = reg.Counter("core_period_sims_total", obs.L("path", "full"))
 }
 
 // frontier is PeriodOptions on the solver's scratch.
@@ -127,15 +166,27 @@ func (ps *periodSolver) frontier(capC, v0 float64, powers []float64) []Option {
 		harvest += p
 	}
 	harvest *= dt
+	ps.usePowers(powers)
 
 	best, found := ps.best, ps.found
 	for m := range found {
 		found[m] = false
 	}
-	for _, te := range ps.subsets {
+	replays := 0
+	for i, te := range ps.subsets {
 		alpha := Alpha(g, te, harvest)
+		var tr *sim.PeriodTrace
+		if ps.traces != nil {
+			tr = &ps.traces[i]
+		}
 		ps.cap = supercap.Capacitor{C: capC, V: v0, P: pc.Params}
-		out := ps.sim.Run(&ps.cap, powers, te, ps.fine.pick(alpha, pc.Delta), dt, pc.DirectEff)
+		out, ok := tr.Replay(&ps.cap, powers, dt, pc.DirectEff)
+		if ok {
+			replays++
+		} else {
+			ps.cap = supercap.Capacitor{C: capC, V: v0, P: pc.Params}
+			out = ps.sim.Record(tr, &ps.cap, powers, te, ps.fine.pick(alpha, pc.Delta), dt, pc.DirectEff)
+		}
 		if m := out.Missed; !found[m] || out.FinalV > best[m].FinalV {
 			best[m] = Option{
 				Misses:      m,
@@ -147,6 +198,8 @@ func (ps *periodSolver) frontier(capC, v0 float64, powers []float64) []Option {
 			found[m] = true
 		}
 	}
+	ps.mReplays.Add(float64(replays))
+	ps.mFull.Add(float64(len(ps.subsets) - replays))
 
 	// Pareto cut, by misses ascending: an option with more misses must buy
 	// strictly more final energy to be worth keeping.
@@ -166,4 +219,29 @@ func (ps *periodSolver) frontier(capC, v0 float64, powers []float64) []Option {
 		}
 	}
 	return options
+}
+
+// usePowers makes powers the traces' slot powers. A trajectory holds only
+// for the exact powers it was recorded under, so every trace is forgotten
+// when powers differ from the last build's in any bit.
+func (ps *periodSolver) usePowers(powers []float64) {
+	if ps.traces == nil {
+		return
+	}
+	if len(powers) == len(ps.powers) {
+		same := true
+		for i, p := range powers {
+			if math.Float64bits(p) != math.Float64bits(ps.powers[i]) {
+				same = false
+				break
+			}
+		}
+		if same {
+			return
+		}
+	}
+	ps.powers = append(ps.powers[:0], powers...)
+	for i := range ps.traces {
+		ps.traces[i].Forget()
+	}
 }

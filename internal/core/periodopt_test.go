@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"solarsched/internal/obs"
 	"solarsched/internal/rng"
 	"solarsched/internal/sim"
 	"solarsched/internal/solar"
@@ -172,5 +173,126 @@ func TestWarmLUTBuildAllocsDoNotGrowWithSlots(t *testing.T) {
 	}
 	if short > 2 {
 		t.Errorf("a warm LUT build allocates %.0f times, want the frontier and the table's amortized growth only", short)
+	}
+}
+
+// checkFrontier asserts the Pareto-frontier invariants of eq. (13): misses
+// and final voltages both strictly ascending (each extra miss buys more
+// stored energy), every te one of the graph's closed subsets, and every α
+// the pattern index of its te under the period's harvest.
+func checkFrontier(t *testing.T, g *task.Graph, closed [][]bool, harvest float64, opts []Option) {
+	t.Helper()
+	if len(opts) == 0 {
+		t.Fatal("empty frontier")
+	}
+	for i, o := range opts {
+		if i > 0 && (o.Misses <= opts[i-1].Misses || o.FinalV <= opts[i-1].FinalV) {
+			t.Fatalf("option %d (%d misses, %v V) does not dominate-free follow option %d (%d misses, %v V)",
+				i, o.Misses, o.FinalV, i-1, opts[i-1].Misses, opts[i-1].FinalV)
+		}
+		isClosed := false
+		for _, te := range closed {
+			if sameMask(te, o.Te) {
+				isClosed = true
+				break
+			}
+		}
+		if !isClosed {
+			t.Fatalf("option %d: te %v is not a closed subset", i, o.Te)
+		}
+		if a := Alpha(g, o.Te, harvest); o.Alpha != a {
+			t.Fatalf("option %d: alpha %v, Alpha(te) = %v", i, o.Alpha, a)
+		}
+	}
+}
+
+func sameMask(a, b []bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// The LUT's solver replays each subset's recorded trajectory across the
+// start voltages and capacitors of a build sequence. Whatever order the DP
+// asks in, every frontier must equal the plain reference bit for bit, and
+// the sequence must take both paths: replays, and full simulations beyond
+// the first recording of each subset (divergences).
+func TestReplayedFrontiersMatchReference(t *testing.T) {
+	tb := solar.DefaultTimeBase(2)
+	tr := solar.MustGenerate(solar.GenConfig{Base: tb, Seed: 29})
+	r := rng.New(77)
+	for _, c := range []struct {
+		g      *task.Graph
+		period int // a morning period: the store carries part of the load
+	}{
+		{task.WAM(), 17}, {task.ECG(), 16}, {task.SHM(), 17}, {task.RandomCase(1), 18},
+	} {
+		g := c.g
+		reg := obs.NewRegistry()
+		pc := DefaultPlanConfig(g, tb, []float64{2, 10, 50})
+		pc.Observer = reg
+		powers := tr.PeriodPowers(0, c.period)
+		harvest := 0.0
+		for _, p := range powers {
+			harvest += p
+		}
+		harvest *= pc.Base.SlotSeconds
+		closed := ClosedSubsets(g)
+
+		type query struct{ capC, v0 float64 }
+		var queries []query
+		l := NewLUT(pc)
+		for capIdx, capC := range pc.Capacitances {
+			vs := []float64{pc.Params.VLow, pc.Params.VHigh}
+			for b := 0; b < pc.VBuckets; b++ {
+				vs = append(vs, l.BucketV(capIdx, b))
+			}
+			for i := 0; i < 8; i++ {
+				vs = append(vs, r.Range(pc.Params.VLow, pc.Params.VHigh))
+			}
+			sort.Float64s(vs)
+			for _, v := range vs {
+				queries = append(queries, query{capC, v})
+			}
+		}
+		want := make([][]Option, len(queries))
+		for i, q := range queries {
+			want[i] = periodOptionsReference(q.capC, q.v0, powers, pc)
+			checkFrontier(t, g, closed, harvest, want[i])
+		}
+		shuffled := make([]int, len(queries))
+		for i := range shuffled {
+			shuffled[i] = i
+		}
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		ascending := make([]int, len(queries))
+		for i := range ascending {
+			ascending[i] = i
+		}
+		for name, order := range map[string][]int{"ascending": ascending, "shuffled": shuffled} {
+			ps := newPeriodSolver(pc).withTraces()
+			for _, i := range order {
+				q := queries[i]
+				got := ps.frontier(q.capC, q.v0, powers)
+				if !sameOptions(got, want[i]) {
+					t.Fatalf("%s %s C=%g V=%v: frontier %+v, reference %+v", g.Name, name, q.capC, q.v0, got, want[i])
+				}
+				checkFrontier(t, g, closed, harvest, got)
+			}
+		}
+		replays := reg.Counter("core_period_sims_total", obs.L("path", "replay")).Value()
+		full := reg.Counter("core_period_sims_total", obs.L("path", "full")).Value()
+		t.Logf("%s: %d queries, %v replays, %v full simulations over %d subsets",
+			g.Name, len(queries), replays, full, len(closed))
+		if replays == 0 || full <= float64(2*len(closed)) {
+			t.Errorf("%s: %v replays and %v full simulations; the queries must exercise replay and divergence",
+				g.Name, replays, full)
+		}
 	}
 }

@@ -63,44 +63,22 @@ func planHorizon(l *LUT, powers [][]float64, startPeriodOfDay, startCap int, sta
 	const energyTie = 1e-4 // reward per terminal bucket, < any miss
 	idx := func(c, b int) int { return c*B + b }
 
-	// value[t] is the cost-to-go at the start of period t.
-	value := make([][]float64, T+1)
-	type choice struct {
-		cap, opt int // capacitor after the (possible) boundary switch; option index
-	}
-	choices := make([][]choice, T)
-	value[T] = make([]float64, H*B)
+	// value[t] is the cost-to-go at the start of period t; choices[t] the
+	// action that achieves it. Both live in the LUT's plan scratch, as do
+	// the profile keys hoisted out of the DP's inner loops.
+	sc := l.plan.size(T, H*B)
+	value, choices, keys := sc.value, sc.choices, sc.keys
 	for c := 0; c < H; c++ {
 		for b := 0; b < B; b++ {
 			value[T][idx(c, b)] = -energyTie * float64(b)
 		}
 	}
-
-	// Hoist profile keys and day-boundary transfer buckets out of the DP's
-	// inner loops.
-	keys := make([]string, T)
 	for t := range powers {
 		keys[t] = l.ProfileKey(powers[t])
-	}
-	transfer := make([][]int, H) // transfer[c][c2*B+b] = destination bucket
-	for c := 0; c < H; c++ {
-		transfer[c] = make([]int, H*B)
-		for c2 := 0; c2 < H; c2++ {
-			for b := 0; b < B; b++ {
-				if c2 == c {
-					transfer[c][c2*B+b] = b
-					continue
-				}
-				b2, _ := l.TransferBucket(c, b, c2)
-				transfer[c][c2*B+b] = b2
-			}
-		}
 	}
 
 	expansions := 0
 	for t := T - 1; t >= 0; t-- {
-		value[t] = make([]float64, H*B)
-		choices[t] = make([]choice, H*B)
 		boundary := (startPeriodOfDay+t)%pc.Base.PeriodsPerDay == 0
 		for c := 0; c < H; c++ {
 			for b := 0; b < B; b++ {
@@ -108,7 +86,8 @@ func planHorizon(l *LUT, powers [][]float64, startPeriodOfDay, startCap int, sta
 				bestChoice := choice{cap: -1}
 				consider := func(c2, b2 int) {
 					opts := l.OptionsByKey(keys[t], c2, b2, powers[t])
-					for oi, o := range opts {
+					for oi := range opts {
+						o := &opts[oi]
 						expansions++
 						nb := l.BucketOf(c2, o.FinalV)
 						v := float64(o.Misses) + value[t+1][idx(c2, nb)]
@@ -124,7 +103,7 @@ func planHorizon(l *LUT, powers [][]float64, startPeriodOfDay, startCap int, sta
 						if c2 == c {
 							continue
 						}
-						consider(c2, transfer[c][c2*B+b])
+						consider(c2, l.transferTo(c, b, c2))
 					}
 				}
 				value[t][idx(c, b)] = bestVal
@@ -151,10 +130,10 @@ func planHorizon(l *LUT, powers [][]float64, startPeriodOfDay, startCap int, sta
 	for t := 1; t < T; t++ {
 		ch := choices[t][idx(c, b)]
 		if ch.cap != c {
-			b, _ = l.TransferBucket(c, b, ch.cap)
+			b = l.transferTo(c, b, ch.cap)
 			c = ch.cap
 		}
-		opts := l.Options(c, b, powers[t])
+		opts := l.OptionsByKey(keys[t], c, b, powers[t])
 		o := opts[ch.opt]
 		res.Decisions[t] = Decision{
 			CapIdx: c, Te: o.Te, Alpha: o.Alpha, PredictedMisses: o.Misses,
@@ -163,6 +142,42 @@ func planHorizon(l *LUT, powers [][]float64, startPeriodOfDay, startCap int, sta
 		b = l.BucketOf(c, o.FinalV)
 	}
 	return res
+}
+
+// choice is a DP action: the capacitor after the (possible) boundary
+// switch and the index of the option taken there.
+type choice struct{ cap, opt int }
+
+// planScratch holds PlanHorizon's tables between calls: a warm call of no
+// more periods than an earlier one allocates only its decisions and the
+// first period's exact frontiers.
+type planScratch struct {
+	value   [][]float64 // T+1 rows of H·B cost-to-go values
+	choices [][]choice  // T rows of H·B actions
+	keys    []string    // per period profile key
+	cells   []float64   // value's storage
+	acts    []choice    // choices' storage
+}
+
+// size returns the scratch resized for T periods of n states.
+func (s *planScratch) size(T, n int) *planScratch {
+	if cap(s.cells) < (T+1)*n {
+		s.cells = make([]float64, (T+1)*n)
+		s.acts = make([]choice, T*n)
+	}
+	s.value = s.value[:0]
+	for t := 0; t <= T; t++ {
+		s.value = append(s.value, s.cells[t*n:(t+1)*n])
+	}
+	s.choices = s.choices[:0]
+	for t := 0; t < T; t++ {
+		s.choices = append(s.choices, s.acts[t*n:(t+1)*n])
+	}
+	if cap(s.keys) < T {
+		s.keys = make([]string, T)
+	}
+	s.keys = s.keys[:T]
+	return s
 }
 
 type firstChoice struct {

@@ -311,6 +311,31 @@ func TestFileSpecDefaults(t *testing.T) {
 	}
 }
 
+// Negative sizes and counts fail at compile time with the run named, not
+// as a panic inside the job (h) or a silently skipped stage (fine_epochs).
+func TestCompileRejectsNegativeCounts(t *testing.T) {
+	for field, body := range map[string]string{
+		"h":                 `{"runs":[{"id":"neg","scheduler":"proposed","h":-3}]}`,
+		"trace.days":        `{"runs":[{"id":"neg","trace":{"days":-1}}]}`,
+		"train.days":        `{"runs":[{"id":"neg","train":{"days":-2}}]}`,
+		"train.fine_epochs": `{"runs":[{"id":"neg","train":{"fine_epochs":-1}}]}`,
+	} {
+		_, err := ReadSpecs(strings.NewReader(body), nil)
+		if err == nil {
+			t.Errorf("%s: negative value compiled", field)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "run neg") || !strings.Contains(msg, field) {
+			t.Errorf("%s: error %q does not name the run and the field", field, msg)
+		}
+	}
+	// Defaults are checked once merged into each run.
+	fs := &FileSpec{Defaults: RunSpec{H: -1}, Runs: []RunSpec{{ID: "a"}}}
+	if _, err := fs.Resolved(); err == nil || !strings.Contains(err.Error(), "run a") {
+		t.Errorf("negative default h: err = %v", err)
+	}
+}
+
 // TestReadSpecsRejectsUnknownFields: spec files are user input; a typoed
 // field must be an error, not a silently ignored default.
 func TestReadSpecsRejectsUnknownFields(t *testing.T) {

@@ -199,9 +199,33 @@ func (fs *FileSpec) Resolved() ([]RunSpec, error) {
 		if !knownScheduler(rs.Scheduler) {
 			return nil, fmt.Errorf("fleet: run %s: unknown scheduler %q", rs.ID, rs.Scheduler)
 		}
+		if err := rs.checkCounts(); err != nil {
+			return nil, fmt.Errorf("fleet: run %s: %w", rs.ID, err)
+		}
 		out = append(out, rs)
 	}
 	return out, nil
+}
+
+// checkCounts rejects negative sizes and counts at submission. Past this
+// point they fail mid-job or not at all: a negative h panics in capacitor
+// sizing once the job has started, and a negative fine_epochs silently
+// skips fine-tuning.
+func (rs RunSpec) checkCounts() error {
+	for _, c := range []struct {
+		name string
+		v    int
+	}{
+		{"h", rs.H},
+		{"trace.days", rs.Trace.Days},
+		{"train.days", rs.Train.Days},
+		{"train.fine_epochs", rs.Train.FineEpochs},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("%s is %d, must not be negative", c.name, c.v)
+		}
+	}
+	return nil
 }
 
 // CompileWith is Compile plus a per-run option hook: extra (may be nil) is

@@ -185,28 +185,33 @@ func (p *Profile) IndexFor(wantType, wantUnit string) int {
 // Top aggregates the flat (self) cost of sample dimension idx by the
 // function on top of each stack and returns the n costliest, with each
 // frame's share of the profile total.
-func (p *Profile) Top(n, idx int) []HotFrame {
+func (p *Profile) Top(n, idx int) []HotFrame { return p.TopSince(nil, n, idx) }
+
+// TopSince is Top over the cost accrued after base, an earlier profile of
+// the same kind from the same process. The allocs profile counts from
+// process start, so one benchmark's attribution is its profile minus the
+// one taken just before it ran: TopSince subtracts base's flat cost per
+// function, matched by name because location ids differ between two
+// profiles. Functions whose cost did not grow are left out. A nil base
+// subtracts nothing.
+func (p *Profile) TopSince(base *Profile, n, idx int) []HotFrame {
 	if idx < 0 || idx >= len(p.SampleTypes) {
 		return nil
 	}
-	unit := p.SampleTypes[idx].Unit
-	flat := map[string]float64{}
-	var total float64
-	for _, s := range p.samples {
-		if idx >= len(s.vals) || len(s.locs) == 0 {
-			continue
+	vt := p.SampleTypes[idx]
+	flat := p.flat(idx)
+	if base != nil {
+		for name, v := range base.flat(base.IndexFor(vt.Type, vt.Unit)) {
+			flat[name] -= v
 		}
-		v := float64(s.vals[idx])
-		name := p.locLeaf[s.locs[0]]
-		if name == "" {
-			name = "<unknown>"
-		}
-		flat[name] += v
-		total += v
 	}
+	var total float64
 	frames := make([]HotFrame, 0, len(flat))
 	for name, v := range flat {
-		frames = append(frames, HotFrame{Function: name, Flat: v, Unit: unit})
+		if v > 0 {
+			frames = append(frames, HotFrame{Function: name, Flat: v, Unit: vt.Unit})
+			total += v
+		}
 	}
 	sort.Slice(frames, func(i, j int) bool {
 		if frames[i].Flat != frames[j].Flat {
@@ -223,6 +228,35 @@ func (p *Profile) Top(n, idx int) []HotFrame {
 		}
 	}
 	return frames
+}
+
+// Total sums sample dimension idx over every sample — for a CPU profile's
+// samples/count dimension, the number of samples taken.
+func (p *Profile) Total(idx int) float64 {
+	var total float64
+	for _, v := range p.flat(idx) {
+		total += v
+	}
+	return total
+}
+
+// flat sums sample dimension idx by the function on top of each stack.
+func (p *Profile) flat(idx int) map[string]float64 {
+	flat := map[string]float64{}
+	if idx < 0 || idx >= len(p.SampleTypes) {
+		return flat
+	}
+	for _, s := range p.samples {
+		if idx >= len(s.vals) || len(s.locs) == 0 {
+			continue
+		}
+		name := p.locLeaf[s.locs[0]]
+		if name == "" {
+			name = "<unknown>"
+		}
+		flat[name] += float64(s.vals[idx])
+	}
+	return flat
 }
 
 // eachField walks one protobuf message, invoking fn per field. For varint

@@ -164,12 +164,26 @@ func Run(ctx context.Context, cfg Config) (*Snapshot, error) {
 	return snap, nil
 }
 
-// profiled wraps one benchmark with CPU profiling and a post-run heap
-// profile, attaching the parsed top-N flat attribution to its result.
+// minCPUSamples is the fewest CPU profile samples (10 ms each) a cpu_hot
+// attribution is published from: below it, the shares are noise.
+const minCPUSamples = 50
+
+// profiled wraps one benchmark with CPU profiling and heap profiles taken
+// before and after it, attaching the parsed top-N flat attribution to its
+// result. The heap attribution is the difference of the two, so it names
+// only what this benchmark allocated.
 func profiled(ctx context.Context, cfg Config, name string, fn func(context.Context) (BenchResult, error)) (BenchResult, error) {
 	var cpuBuf bytes.Buffer
 	if err := pprof.StartCPUProfile(&cpuBuf); err != nil {
 		return BenchResult{}, fmt.Errorf("start cpu profile: %w", err)
+	}
+	// The baseline follows the CPU profiler's start, whose buffers would
+	// otherwise top every small benchmark's heap attribution.
+	var baseBuf bytes.Buffer
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(&baseBuf, 0); err != nil {
+		pprof.StopCPUProfile()
+		return BenchResult{}, fmt.Errorf("heap profile: %w", err)
 	}
 	res, err := fn(ctx)
 	pprof.StopCPUProfile()
@@ -184,11 +198,13 @@ func profiled(ctx context.Context, cfg Config, name string, fn func(context.Cont
 		return BenchResult{}, fmt.Errorf("heap profile: %w", err)
 	}
 
-	if cp, err := ParseProfile(cpuBuf.Bytes()); err == nil {
+	if cp, err := ParseProfile(cpuBuf.Bytes()); err == nil && cp.Total(cp.IndexFor("samples", "count")) >= minCPUSamples {
 		res.CPUHot = cp.Top(cfg.Top, cp.IndexFor("cpu", "nanoseconds"))
 	}
-	if hp, err := ParseProfile(heapBuf.Bytes()); err == nil {
-		res.HeapHot = hp.Top(cfg.Top, hp.IndexFor("alloc_space", "bytes"))
+	hp, err := ParseProfile(heapBuf.Bytes())
+	base, baseErr := ParseProfile(baseBuf.Bytes())
+	if err == nil && baseErr == nil {
+		res.HeapHot = hp.TopSince(base, cfg.Top, hp.IndexFor("alloc_space", "bytes"))
 	}
 	if cfg.ProfileDir != "" {
 		if err := os.MkdirAll(cfg.ProfileDir, 0o755); err != nil {

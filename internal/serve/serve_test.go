@@ -371,6 +371,25 @@ func TestHealthReadyMetrics(t *testing.T) {
 	}
 }
 
+// A negative count is a 400 at submission, never a job that panics in
+// capacitor sizing after it has started.
+func TestNegativeCountsRejectedAtSubmission(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"runs": [{"id": "neg-h", "scheduler": "proposed", "h": -3}]}`,
+		`{"runs": [{"id": "neg-epochs", "train": {"fine_epochs": -1}}]}`,
+	} {
+		code, b := postJSON(t, ts.URL+"/v1/runs", body)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d: %s, want 400", body, code, b)
+			continue
+		}
+		if !strings.Contains(string(b), "run neg-") {
+			t.Errorf("%s: answer %s does not name the run", body, b)
+		}
+	}
+}
+
 // TestBadRequests covers spec validation surface.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

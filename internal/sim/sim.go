@@ -63,10 +63,14 @@ type SlotView struct {
 	Day, Period, Slot int
 	Base              solar.TimeBase
 	SolarPower        float64 // W, measured for the current slot
-	Cap               *supercap.Capacitor
-	Bank              *supercap.Bank // nil inside planner-local simulations
-	Tasks             *nvp.Set
-	DirectEff         float64
+	// Cap is the active capacitor; nil inside planner-local simulations
+	// (PeriodSim, RunPeriodOnCap), whose policies must not read the store:
+	// a PeriodTrace replays a period's task trajectory on other
+	// capacitors, which holds only while the policy ignores the store.
+	Cap       *supercap.Capacitor
+	Bank      *supercap.Bank // nil inside planner-local simulations
+	Tasks     *nvp.Set
+	DirectEff float64
 }
 
 // Elapsed returns the seconds elapsed in the current period at the
@@ -506,8 +510,7 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 			order := s.Slot(sv)
 			var st SlotStats
 			if speedsFor != nil {
-				st = ExecSlotDVFS(bank.Active(), ts, step.filterAllowed(order, plan.Allowed),
-					speedsFor, solarW, dt, e.cfg.DirectEff)
+				st = step.execDVFS(bank.Active(), ts, order, plan.Allowed, speedsFor, solarW, dt, e.cfg.DirectEff)
 			} else {
 				st = step.exec(bank.Active(), ts, order, plan.Allowed, solarW, dt, e.cfg.DirectEff)
 			}
@@ -573,20 +576,39 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 }
 
 // slotStep is the slot execution Engine.run and PeriodSim share: the
-// allowed-mask filter, then ExecSlot (FilterRunnable, brown-out trim, run,
-// settle). Its scratch belongs to one run, so a warm step allocates
-// nothing. Leakage, deadlines, faults, DVFS and recording stay with the
-// drivers.
+// allowed-mask filter, then FilterRunnable, brown-out trim, run and settle
+// (execDVFS for speed-scaling schedulers). Its scratch belongs to one run,
+// so a warm step allocates nothing. Leakage, deadlines, faults and
+// recording stay with the drivers.
 type slotStep struct {
-	view    SlotView // the run's one SlotView, reset every slot
-	allowed []int    // filterAllowed's result
+	view    SlotView  // the run's one SlotView, reset every slot
+	allowed []int     // filterAllowed's result
+	loads   []float64 // prefix loads of the last slot's runnable list
+	speeds  []float64 // execDVFS's clamped speeds
 }
 
 // exec executes order under the period's allowed mask (nil permits every
 // task) on cap and ts.
 func (st *slotStep) exec(cap *supercap.Capacitor, ts *nvp.Set, order []int, allowed []bool,
 	solarW, dt, directEff float64) SlotStats {
-	return ExecSlot(cap, ts, st.filterAllowed(order, allowed), solarW, dt, directEff)
+	return st.run(cap, ts, ts.FilterRunnable(st.filterAllowed(order, allowed)), solarW, dt, directEff)
+}
+
+// run trims a runnable list to the load the slot can carry, runs the
+// survivors and settles the slot's energy. st.loads keeps the list's
+// prefix loads for a period recorder.
+func (st *slotStep) run(cap *supercap.Capacitor, ts *nvp.Set, run []int,
+	solarW, dt, directEff float64) SlotStats {
+	loads := append(st.loads[:0], 0)
+	for _, n := range run {
+		loads = append(loads, loads[len(loads)-1]+ts.G.Tasks[n].Power)
+	}
+	st.loads = loads
+	k := carried(cap, loads, solarW*directEff, dt)
+	stats := SlotStats{Ran: run[:k], Trimmed: len(run) - k}
+	stats.LoadPower = ts.Run(stats.Ran, dt)
+	settleEnergy(cap, &stats, solarW, dt, directEff)
+	return stats
 }
 
 // filterAllowed drops the tasks outside allowed (and out-of-range ids),
@@ -603,6 +625,26 @@ func (st *slotStep) filterAllowed(order []int, allowed []bool) []int {
 	}
 	st.allowed = out
 	return out
+}
+
+// carried is the brown-out trim: it returns how many leading tasks of a
+// priority-ordered runnable list the slot can power, dropping tasks from
+// the tail until the direct channel (directCap W at the load) plus the
+// capacitor's deliverable energy carry the rest. loads[m] is the load (W)
+// of the list's first m tasks, summed in list order from loads[0] = 0 —
+// the same float nvp.Set.Run returns for those m tasks.
+func carried(cap *supercap.Capacitor, loads []float64, directCap, dt float64) int {
+	m := len(loads) - 1
+	if m == 0 {
+		return 0
+	}
+	deliverable := cap.Deliverable() + 1e-12
+	for ; m > 0; m-- {
+		if (loads[m]-directCap)*dt <= deliverable {
+			break
+		}
+	}
+	return m
 }
 
 func bankEnergy(b *supercap.Bank) float64 {
@@ -630,26 +672,8 @@ type SlotStats struct {
 // its state), runs the survivors, draws the deficit from the capacitor and
 // offers the surplus to it. It mutates cap and ts.
 func ExecSlot(cap *supercap.Capacitor, ts *nvp.Set, order []int, solarW, dt, directEff float64) SlotStats {
-	run := ts.FilterRunnable(order)
-	runnable := len(run)
-	directCap := solarW * directEff // W available at the load via direct channel
-	for len(run) > 0 {
-		load := 0.0
-		for _, n := range run {
-			load += ts.G.Tasks[n].Power
-		}
-		deficit := (load - directCap) * dt
-		if deficit <= cap.Deliverable()+1e-12 {
-			break
-		}
-		run = run[:len(run)-1]
-	}
-	var st SlotStats
-	st.Ran = run
-	st.Trimmed = runnable - len(run)
-	st.LoadPower = ts.Run(run, dt)
-	settleEnergy(cap, &st, solarW, dt, directEff)
-	return st
+	var st slotStep
+	return st.run(cap, ts, ts.FilterRunnable(order), solarW, dt, directEff)
 }
 
 // ExecSlotDVFS is ExecSlot for DVFS-capable runs: speedsFor returns a speed
@@ -658,37 +682,33 @@ func ExecSlot(cap *supercap.Capacitor, ts *nvp.Set, order []int, solarW, dt, dir
 // its speed.
 func ExecSlotDVFS(cap *supercap.Capacitor, ts *nvp.Set, order []int,
 	speedsFor func(run []int) []float64, solarW, dt, directEff float64) SlotStats {
+	var st slotStep
+	return st.execDVFS(cap, ts, order, nil, speedsFor, solarW, dt, directEff)
+}
 
-	run := ts.FilterRunnable(order)
-	runnable := len(run)
+// execDVFS is exec for a SpeedScheduler (see ExecSlotDVFS), over the
+// step's speed and load buffers.
+func (st *slotStep) execDVFS(cap *supercap.Capacitor, ts *nvp.Set, order []int, allowed []bool,
+	speedsFor func(run []int) []float64, solarW, dt, directEff float64) SlotStats {
+
+	run := ts.FilterRunnable(st.filterAllowed(order, allowed))
 	speeds := speedsFor(run)
 	if len(speeds) != len(run) {
 		panic(fmt.Sprintf("sim: %d speeds for %d tasks", len(speeds), len(run)))
 	}
-	speeds = append([]float64(nil), speeds...)
+	clamped := st.speeds[:0]
+	loads := append(st.loads[:0], 0)
 	for i, f := range speeds {
-		speeds[i] = math.Min(1, math.Max(MinDVFSSpeed, f))
+		f = math.Min(1, math.Max(MinDVFSSpeed, f))
+		clamped = append(clamped, f)
+		loads = append(loads, loads[i]+ts.G.Tasks[run[i]].Power*f*f*f)
 	}
-	directCap := solarW * directEff
-	for len(run) > 0 {
-		load := 0.0
-		for i, n := range run {
-			f := speeds[i]
-			load += ts.G.Tasks[n].Power * f * f * f
-		}
-		deficit := (load - directCap) * dt
-		if deficit <= cap.Deliverable()+1e-12 {
-			break
-		}
-		run = run[:len(run)-1]
-		speeds = speeds[:len(speeds)-1]
-	}
-	var st SlotStats
-	st.Ran = run
-	st.Trimmed = runnable - len(run)
-	st.LoadPower = ts.RunScaled(run, speeds, DVFSPowerExponent, dt)
-	settleEnergy(cap, &st, solarW, dt, directEff)
-	return st
+	st.speeds, st.loads = clamped, loads
+	k := carried(cap, loads, solarW*directEff, dt)
+	stats := SlotStats{Ran: run[:k], Trimmed: len(run) - k}
+	stats.LoadPower = ts.RunScaled(stats.Ran, clamped[:k], DVFSPowerExponent, dt)
+	settleEnergy(cap, &stats, solarW, dt, directEff)
+	return stats
 }
 
 // settleEnergy routes the slot's energy: the load draws from the direct

@@ -207,19 +207,23 @@ func NewHorizonForecast(trace *Trace, seed uint64) *HorizonForecast {
 // deterministic in (now, target): re-planning at the same instant sees the
 // same future. The current period (zero horizon) is returned exactly.
 func (h *HorizonForecast) PeriodPowers(nowDay, nowPeriod, tDay, tPeriod int) []float64 {
+	return h.AppendPeriodPowers(nil, nowDay, nowPeriod, tDay, tPeriod)
+}
+
+// AppendPeriodPowers is PeriodPowers into dst's storage: it returns
+// dst[:0] extended by the forecast, so a planner that keeps its window
+// between periods stops allocating once the window is warm.
+func (h *HorizonForecast) AppendPeriodPowers(dst []float64, nowDay, nowPeriod, tDay, tPeriod int) []float64 {
 	tb := h.Trace.Base
 	truth := h.Trace.PeriodPowers(tDay, tPeriod)
+	out := append(dst[:0], truth...)
 	lead := float64(tb.PeriodIndex(tDay, tPeriod)-tb.PeriodIndex(nowDay, nowPeriod)) *
 		tb.PeriodSeconds() / 86400.0
 	if lead <= 0 {
-		out := make([]float64, len(truth))
-		copy(out, truth)
 		return out
 	}
 	sigma := h.Sigma0 + h.SigmaPerDay*lead
 	if sigma <= 0 { // a perfect forecaster (both sigmas zero) is exact
-		out := make([]float64, len(truth))
-		copy(out, truth)
 		return out
 	}
 	src := rng.New(h.seed).SplitLabeled(fmt.Sprintf("fc-%d-%d-%d-%d", nowDay, nowPeriod, tDay, tPeriod))
@@ -227,7 +231,6 @@ func (h *HorizonForecast) PeriodPowers(nowDay, nowPeriod, tDay, tPeriod int) []f
 	// forecast errors are strongly correlated within a half-hour.
 	periodFactor := math.Exp(src.Norm(-0.5*sigma*sigma, sigma))
 	jitter := math.Min(0.05, sigma)
-	out := make([]float64, len(truth))
 	for i, p := range truth {
 		f := periodFactor * (1 + src.Norm(0, jitter))
 		if f < 0 {
