@@ -224,8 +224,9 @@ func BenchmarkTrainStep(b *testing.B) {
 	src := rng.New(1)
 	inputs, targets := makeSupervised(1, src)
 	n := New(Config{InputDim: 8, Hidden: []int{20, 12}, CapClasses: 4, TaskCount: 4, Seed: 5})
+	sc := n.newTrainScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.step(inputs[0], targets[0], 0.01, 0.3)
+		n.step(sc, inputs[0], targets[0], 0.01, 0.3, true)
 	}
 }

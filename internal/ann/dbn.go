@@ -178,8 +178,9 @@ func (n *Network) Pretrain(inputs []mat.Vector, epochs int, lr float64) {
 		nh := n.trunkW[l].Rows
 		rbm := NewRBM(nv, nh, src.SplitLabeled(fmt.Sprintf("layer-%d", l)))
 		cd := src.SplitLabeled(fmt.Sprintf("cd-%d", l))
+		sc := rbm.newCDScratch()
 		for e := 0; e < epochs; e++ {
-			rbm.TrainEpoch(data, lr, cd)
+			rbm.trainEpoch(sc, data, lr, cd)
 			epochCount.Inc()
 			if n.reg != nil {
 				reconErr.Set(rbm.ReconstructionError(data))
@@ -211,7 +212,9 @@ func DefaultTrainOptions() TrainOptions {
 
 // Train runs back-propagation fine-tuning over the (input, target) pairs
 // with the combined loss CE(cap) + AlphaWeight·MSE(α) + BCE(te). It
-// returns the mean loss of the final epoch.
+// returns the mean loss of the final epoch. The loss never feeds the
+// weights, so it is computed only where something reads it: on the final
+// epoch, and on every epoch when an observer records the per-epoch gauge.
 func (n *Network) Train(inputs []mat.Vector, targets []Target, opt TrainOptions) float64 {
 	if len(inputs) != len(targets) {
 		panic(fmt.Sprintf("ann: %d inputs vs %d targets", len(inputs), len(targets)))
@@ -223,75 +226,124 @@ func (n *Network) Train(inputs []mat.Vector, targets []Target, opt TrainOptions)
 	span := n.reg.StartSpan("ann/finetune")
 	epochCount := n.reg.Counter("ann_finetune_epochs_total")
 	lossGauge := n.reg.Gauge("ann_finetune_loss")
+	sc := n.newTrainScratch()
 	finalLoss := 0.0
 	for e := 0; e < opt.Epochs; e++ {
+		withLoss := n.reg != nil || e == opt.Epochs-1
 		total := 0.0
 		lr := opt.LearnRate / (1 + 0.02*float64(e)) // mild decay
 		for _, idx := range src.Perm(len(inputs)) {
-			total += n.step(inputs[idx], targets[idx], lr, opt.AlphaWeight)
+			total += n.step(sc, inputs[idx], targets[idx], lr, opt.AlphaWeight, withLoss)
 		}
-		finalLoss = total / float64(len(inputs))
+		if withLoss {
+			finalLoss = total / float64(len(inputs))
+			lossGauge.Set(finalLoss)
+		}
 		epochCount.Inc()
-		lossGauge.Set(finalLoss)
 	}
 	span.End()
 	return finalLoss
 }
 
-// step performs one SGD update and returns the sample's loss.
-func (n *Network) step(x mat.Vector, t Target, lr, alphaW float64) float64 {
-	acts := n.trunkForward(x, nil)
-	h := acts[len(n.trunkW)]
+// trainScratch is one training pass's buffers, overwritten by every step:
+// the trunk activations, the heads' outputs (turned into their deltas in
+// place) and the gradients back-propagated into each trunk layer.
+type trainScratch struct {
+	acts     []mat.Vector // acts[0] is the sample; acts[l+1] trunk layer l's output
+	back     []mat.Vector // back[l]: gradient into acts[l], for l ≥ 1
+	capLogit mat.Vector
+	dCap     mat.Vector // softmax output, then its logit-space delta
+	dTe      mat.Vector // sigmoid outputs, then their deltas
+	teBack   mat.Vector // teWᵀ·dTe
+}
+
+func (n *Network) newTrainScratch() *trainScratch {
+	L := len(n.trunkW)
+	sc := &trainScratch{
+		acts:     make([]mat.Vector, L+1),
+		back:     make([]mat.Vector, L+1),
+		capLogit: mat.NewVector(n.cfg.CapClasses),
+		dCap:     mat.NewVector(n.cfg.CapClasses),
+		dTe:      mat.NewVector(n.cfg.TaskCount),
+		teBack:   mat.NewVector(n.trunkW[L-1].Rows),
+	}
+	for l, w := range n.trunkW {
+		sc.acts[l+1] = mat.NewVector(w.Rows)
+		sc.back[l+1] = mat.NewVector(w.Rows)
+	}
+	return sc
+}
+
+// step performs one SGD update over sc and returns the sample's loss, or
+// 0 without withLoss. Each weight matrix is walked once: its
+// back-propagated product and its update share one row pass
+// (mat.Matrix.MulVecTAddOuter), which reads every weight before updating
+// it, so the gradients are those of the pre-update weights.
+func (n *Network) step(sc *trainScratch, x mat.Vector, t Target, lr, alphaW float64, withLoss bool) float64 {
+	L := len(n.trunkW)
+	acts := sc.acts
+	acts[0] = x
+	for l, w := range n.trunkW {
+		a := w.MulVec(acts[l], acts[l+1])
+		for i := range a {
+			a[i] = mat.Sigmoid(a[i] + n.trunkB[l][i])
+		}
+	}
+	h := acts[L]
 
 	// Heads forward.
-	capLogits := n.capW.MulVec(h, nil).Add(n.capB)
-	capProbs := mat.Softmax(capLogits, nil)
+	capProbs := mat.Softmax(n.capW.MulVec(h, sc.capLogit).Add(n.capB), sc.dCap)
 	alpha := n.alphaW.Dot(h) + n.alphaB
-	teProbs := n.teW.MulVec(h, nil)
+	teProbs := n.teW.MulVec(h, sc.dTe)
 	for i := range teProbs {
 		teProbs[i] = mat.Sigmoid(teProbs[i] + n.teB[i])
 	}
 
-	// Loss.
-	loss := -math.Log(math.Max(capProbs[t.Cap], 1e-12))
 	da := alpha - t.Alpha
-	loss += alphaW * da * da
-	for i := range teProbs {
-		p := math.Min(math.Max(teProbs[i], 1e-12), 1-1e-12)
-		loss += -(t.Te[i]*math.Log(p) + (1-t.Te[i])*math.Log(1-p))
+	loss := 0.0
+	if withLoss {
+		loss = -math.Log(math.Max(capProbs[t.Cap], 1e-12))
+		loss += alphaW * da * da
+		for i := range teProbs {
+			p := math.Min(math.Max(teProbs[i], 1e-12), 1-1e-12)
+			loss += -(t.Te[i]*math.Log(p) + (1-t.Te[i])*math.Log(1-p))
+		}
 	}
 
-	// Head gradients (logit-space deltas).
-	dCap := capProbs.Clone()
+	// Head gradients (logit-space deltas), in place.
+	dCap := capProbs
 	dCap[t.Cap] -= 1
 	dAlpha := 2 * alphaW * da
-	dTe := teProbs.Clone()
+	dTe := teProbs
 	for i := range dTe {
 		dTe[i] -= t.Te[i]
 	}
 
-	// Gradient into the last hidden layer.
-	dh := n.capW.MulVecT(dCap, nil)
+	// Gradient into the last hidden layer, fused with the head weight
+	// updates: capWᵀ·dCap, then dAlpha·alphaW before alphaW moves, then
+	// teWᵀ·dTe.
+	dh := n.capW.MulVecTAddOuter(dCap, -lr, h, sc.back[L])
 	dh.AddScaled(dAlpha, n.alphaW)
-	dh.Add(n.teW.MulVecT(dTe, nil))
-
-	// Head weight updates.
-	n.capW.AddOuterScaled(-lr, dCap, h)
+	dh.Add(n.teW.MulVecTAddOuter(dTe, -lr, h, sc.teBack))
 	n.capB.AddScaled(-lr, dCap)
 	n.alphaW.AddScaled(-lr*dAlpha, h)
 	n.alphaB -= lr * dAlpha
-	n.teW.AddOuterScaled(-lr, dTe, h)
 	n.teB.AddScaled(-lr, dTe)
 
-	// Back-propagate through the trunk.
+	// Back-propagate through the trunk. The input layer's gradient has no
+	// reader, so layer 0 takes only its update.
 	delta := dh
-	for l := len(n.trunkW) - 1; l >= 0; l-- {
+	for l := L - 1; l >= 0; l-- {
 		a := acts[l+1]
 		for i := range delta {
 			delta[i] *= mat.SigmoidPrimeFromY(a[i])
 		}
-		prevDelta := n.trunkW[l].MulVecT(delta, nil)
-		n.trunkW[l].AddOuterScaled(-lr, delta, acts[l])
+		var prevDelta mat.Vector
+		if l > 0 {
+			prevDelta = n.trunkW[l].MulVecTAddOuter(delta, -lr, acts[l], sc.back[l])
+		} else {
+			n.trunkW[l].AddOuterScaled(-lr, delta, acts[l])
+		}
 		n.trunkB[l].AddScaled(-lr, delta)
 		delta = prevDelta
 	}

@@ -13,14 +13,27 @@ import (
 // capacitor, initial voltage) key to the Pareto options of the period
 // optimizer, and — per the paper — approximates unseen inputs by the
 // closest existing entry (here: by sharing the quantization bucket).
+//
+// The table is dense, the tabular form of a value iteration over quantized
+// stored energy: profiles are interned as small ids, and entry (profile,
+// capacitor, bucket) sits at index (profile·H+capacitor)·B+bucket, so each
+// profile adds a block of H·B entries.
 type LUT struct {
 	pc      PlanConfig
-	entries map[lutKey][]Option
+	entries []lutEntry
+	size    int           // built entries
+	nexts   []int         // storage the entries' next slices are carved from
 	solver  *periodSolver // builds entries; owns the period scratch
 
-	// profiles interns ProfileKey's strings by (energy, peak) bucket, so
-	// a known profile costs no allocation.
-	profiles map[[2]int]string
+	// Profile interning. byBuckets maps ProfileKey's (energy, peak)
+	// buckets to an id, so a known profile costs no allocation; byName
+	// serves string keys (OptionsByKey, restores) and names[id] is the
+	// key itself. dark is the id of "dark".
+	byBuckets map[[2]int]int
+	byName    map[string]int
+	names     []string
+	dark      int
+
 	// transfer[(from*H+to)*B+b] is TransferBucket(from, b, to)'s bucket.
 	transfer []int
 	plan     planScratch // PlanHorizon's tables, reused across calls
@@ -37,11 +50,18 @@ type LUT struct {
 	mExpand  *obs.Counter
 }
 
-type lutKey struct {
-	profile string
-	capIdx  int
-	vBucket int
+// lutEntry is one slot of the table: once built, the Pareto options and,
+// per option, the voltage bucket it ends the period in
+// (next[i] = BucketOf(capacitor, opts[i].FinalV)), which is all the DP
+// needs to price an option.
+type lutEntry struct {
+	opts  []Option
+	next  []int
+	built bool
 }
+
+// nextChunk is how many next-bucket slots the table allocates at a time.
+const nextChunk = 1024
 
 // NewLUT returns an empty table over the configuration.
 func NewLUT(pc PlanConfig) *LUT {
@@ -50,16 +70,17 @@ func NewLUT(pc PlanConfig) *LUT {
 	}
 	reg := pc.Observer
 	l := &LUT{
-		pc:       pc,
-		entries:  make(map[lutKey][]Option),
-		solver:   newPeriodSolver(pc).withTraces(),
-		profiles: make(map[[2]int]string),
-		mHits:    reg.Counter("core_lut_hits_total"),
-		mMisses:  reg.Counter("core_lut_misses_total"),
-		mEntries: reg.Gauge("core_lut_entries"),
-		mSolve:   reg.Timer("core_dp_solve_seconds"),
-		mExpand:  reg.Counter("core_dp_expansions_total"),
+		pc:        pc,
+		solver:    newPeriodSolver(pc).withTraces(),
+		byBuckets: make(map[[2]int]int),
+		byName:    make(map[string]int),
+		mHits:     reg.Counter("core_lut_hits_total"),
+		mMisses:   reg.Counter("core_lut_misses_total"),
+		mEntries:  reg.Gauge("core_lut_entries"),
+		mSolve:    reg.Timer("core_dp_solve_seconds"),
+		mExpand:   reg.Counter("core_dp_expansions_total"),
 	}
+	l.dark = l.intern("dark")
 	H, B := len(pc.Capacitances), pc.VBuckets
 	l.transfer = make([]int, H*H*B)
 	for from := 0; from < H; from++ {
@@ -109,7 +130,10 @@ func (l *LUT) SetObserver(reg *obs.Registry) {
 // reuse is what keeps the LUT (and the paper's M term) small; the exact
 // first-period re-optimization in PlanHorizon absorbs the residual error
 // where it matters.
-func (l *LUT) ProfileKey(powers []float64) string {
+func (l *LUT) ProfileKey(powers []float64) string { return l.names[l.profileID(powers)] }
+
+// profileID is ProfileKey's interned id.
+func (l *LUT) profileID(powers []float64) int {
 	dt := l.pc.Base.SlotSeconds
 	total, peak := 0.0, 0.0
 	for _, p := range powers {
@@ -119,16 +143,29 @@ func (l *LUT) ProfileKey(powers []float64) string {
 		}
 	}
 	if total <= 1e-9 {
-		return "dark"
+		return l.dark
 	}
 	eb := int(math.Round(4 * math.Log2(1+total)))
 	pb := int(math.Round(2 * math.Log2(1+peak*1000)))
-	key, ok := l.profiles[[2]int{eb, pb}]
+	id, ok := l.byBuckets[[2]int{eb, pb}]
 	if !ok {
-		key = fmt.Sprintf("e%d|p%d", eb, pb)
-		l.profiles[[2]int{eb, pb}] = key
+		id = l.intern(fmt.Sprintf("e%d|p%d", eb, pb))
+		l.byBuckets[[2]int{eb, pb}] = id
 	}
-	return key
+	return id
+}
+
+// intern returns the id of a profile key, adding the key — and its block
+// of H·B empty entries — on first sight.
+func (l *LUT) intern(name string) int {
+	if id, ok := l.byName[name]; ok {
+		return id
+	}
+	id := len(l.names)
+	l.names = append(l.names, name)
+	l.byName[name] = id
+	l.entries = append(l.entries, make([]lutEntry, len(l.pc.Capacitances)*l.pc.VBuckets)...)
+	return id
 }
 
 // Buckets returns the number of voltage buckets.
@@ -140,7 +177,7 @@ func (l *LUT) Buckets() int { return l.pc.VBuckets }
 // to the DP, and coarse near full charge, where per-period deltas are
 // relatively small. This sits on the DP's hot path and is allocation-free.
 func (l *LUT) BucketOf(capIdx int, v float64) int {
-	p := l.pc.Params
+	p := &l.pc.Params
 	if v <= p.VLow {
 		return 0
 	}
@@ -170,29 +207,69 @@ func (l *LUT) BucketV(capIdx, bucket int) float64 {
 // profile), building the entry on first use. The powers of the first period
 // seen with a given profile key become the representative profile.
 func (l *LUT) Options(capIdx, vBucket int, powers []float64) []Option {
-	return l.OptionsByKey(l.ProfileKey(powers), capIdx, vBucket, powers)
+	l.checkIndex(capIdx, vBucket)
+	return l.entry(l.profileID(powers), capIdx, vBucket, powers).opts
 }
 
-// OptionsByKey is Options with the profile key precomputed — the DP calls
-// this once per (period, capacitor, bucket) and hoists the key out of the
-// inner loops.
+// OptionsByKey is Options with the profile key precomputed.
 func (l *LUT) OptionsByKey(profile string, capIdx, vBucket int, powers []float64) []Option {
+	l.checkIndex(capIdx, vBucket)
+	return l.entry(l.intern(profile), capIdx, vBucket, powers).opts
+}
+
+func (l *LUT) checkIndex(capIdx, vBucket int) {
+	if err := l.indexErr(capIdx, vBucket); err != nil {
+		panic("core: LUT " + err.Error())
+	}
+}
+
+// indexErr reports a capacitor or voltage bucket outside the table: in a
+// dense table it would alias another entry.
+func (l *LUT) indexErr(capIdx, vBucket int) error {
+	if H := len(l.pc.Capacitances); capIdx < 0 || capIdx >= H {
+		return fmt.Errorf("capacitor %d outside [0,%d)", capIdx, H)
+	}
+	if vBucket < 0 || vBucket >= l.pc.VBuckets {
+		return fmt.Errorf("voltage bucket %d outside [0,%d)", vBucket, l.pc.VBuckets)
+	}
+	return nil
+}
+
+// entry returns the entry of (profile id, capacitor, bucket), building it
+// from powers on first use. The pointer is valid until the next intern.
+func (l *LUT) entry(id, capIdx, vBucket int, powers []float64) *lutEntry {
 	l.Lookups++
-	key := lutKey{profile: profile, capIdx: capIdx, vBucket: vBucket}
-	if opts, ok := l.entries[key]; ok {
+	e := &l.entries[(id*len(l.pc.Capacitances)+capIdx)*l.pc.VBuckets+vBucket]
+	if e.built {
 		l.mHits.Inc()
-		return opts
+		return e
 	}
 	l.Builds++
 	l.mMisses.Inc()
-	opts := l.solver.frontier(l.pc.Capacitances[capIdx], l.BucketV(capIdx, vBucket), powers)
-	l.entries[key] = opts
-	l.mEntries.Set(float64(len(l.entries)))
-	return opts
+	l.fill(e, capIdx, l.solver.frontier(l.pc.Capacitances[capIdx], l.BucketV(capIdx, vBucket), powers))
+	l.mEntries.Set(float64(l.size))
+	return e
+}
+
+// fill makes e the built entry of opts on capacitor capIdx.
+func (l *LUT) fill(e *lutEntry, capIdx int, opts []Option) {
+	if !e.built {
+		l.size++
+	}
+	if cap(l.nexts)-len(l.nexts) < len(opts) {
+		l.nexts = make([]int, 0, max(nextChunk, len(opts)))
+	}
+	n := len(l.nexts)
+	l.nexts = l.nexts[:n+len(opts)]
+	next := l.nexts[n : n+len(opts) : n+len(opts)]
+	for i := range opts {
+		next[i] = l.BucketOf(capIdx, opts[i].FinalV)
+	}
+	*e = lutEntry{opts: opts, next: next, built: true}
 }
 
 // Size returns the number of materialized entries.
-func (l *LUT) Size() int { return len(l.entries) }
+func (l *LUT) Size() int { return l.size }
 
 // LUTEntry is one memoized entry in serialized form, for checkpointing.
 type LUTEntry struct {
@@ -209,9 +286,12 @@ type LUTEntry struct {
 // order holds different options. A resumed run must inherit the table,
 // not regrow it.
 func (l *LUT) SnapshotEntries() []LUTEntry {
-	out := make([]LUTEntry, 0, len(l.entries))
-	for k, opts := range l.entries {
-		out = append(out, LUTEntry{Profile: k.profile, CapIdx: k.capIdx, VBucket: k.vBucket, Options: opts})
+	H, B := len(l.pc.Capacitances), l.pc.VBuckets
+	out := make([]LUTEntry, 0, l.size)
+	for i := range l.entries {
+		if e := &l.entries[i]; e.built {
+			out = append(out, LUTEntry{Profile: l.names[i/(H*B)], CapIdx: i / B % H, VBucket: i % B, Options: e.opts})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Profile != out[j].Profile {
@@ -225,13 +305,29 @@ func (l *LUT) SnapshotEntries() []LUTEntry {
 	return out
 }
 
-// RestoreEntries replaces the memo with the given entries.
-func (l *LUT) RestoreEntries(entries []LUTEntry) {
-	l.entries = make(map[lutKey][]Option, len(entries))
-	for _, e := range entries {
-		l.entries[lutKey{profile: e.Profile, capIdx: e.CapIdx, vBucket: e.VBucket}] = e.Options
+// RestoreEntries replaces the memo with the given entries. The entries come
+// from checkpoints and cached plan artifacts, so each one is checked
+// first: a capacitor or bucket index outside the table, or an entry with
+// no options (a built frontier always holds at least the empty task set),
+// is an error, and the table is then left as it was.
+func (l *LUT) RestoreEntries(entries []LUTEntry) error {
+	for i, e := range entries {
+		if err := l.indexErr(e.CapIdx, e.VBucket); err != nil {
+			return fmt.Errorf("core: LUT entry %d: %w", i, err)
+		}
+		if len(e.Options) == 0 {
+			return fmt.Errorf("core: LUT entry %d has no options", i)
+		}
 	}
-	l.mEntries.Set(float64(len(l.entries)))
+	clear(l.entries)
+	l.size = 0
+	H, B := len(l.pc.Capacitances), l.pc.VBuckets
+	for _, e := range entries {
+		id := l.intern(e.Profile)
+		l.fill(&l.entries[(id*H+e.CapIdx)*B+e.VBucket], e.CapIdx, e.Options)
+	}
+	l.mEntries.Set(float64(l.size))
+	return nil
 }
 
 // TransferBucket estimates the DP transition of migrating the usable energy

@@ -69,7 +69,9 @@ func NewOptimalFromPlan(pc PlanConfig, tr *solar.Trace, plan PlanResult, entries
 	}
 	lut := NewLUT(pc)
 	if entries != nil {
-		lut.RestoreEntries(entries)
+		if err := lut.RestoreEntries(entries); err != nil {
+			return nil, fmt.Errorf("core: optimal plan: %w", err)
+		}
 	}
 	return &Optimal{
 		pc: pc, lut: lut, plan: plan, decisions: plan.Decisions,

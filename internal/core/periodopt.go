@@ -179,13 +179,11 @@ func (ps *periodSolver) frontier(capC, v0 float64, powers []float64) []Option {
 		if ps.traces != nil {
 			tr = &ps.traces[i]
 		}
-		ps.cap = supercap.Capacitor{C: capC, V: v0, P: pc.Params}
-		out, ok := tr.Replay(&ps.cap, powers, dt, pc.DirectEff)
+		out, ok := tr.Replay(ps.resetCap(capC, v0), powers, dt, pc.DirectEff)
 		if ok {
 			replays++
 		} else {
-			ps.cap = supercap.Capacitor{C: capC, V: v0, P: pc.Params}
-			out = ps.sim.Record(tr, &ps.cap, powers, te, ps.fine.pick(alpha, pc.Delta), dt, pc.DirectEff)
+			out = ps.sim.Record(tr, ps.resetCap(capC, v0), powers, te, ps.fine.pick(alpha, pc.Delta), dt, pc.DirectEff)
 		}
 		if m := out.Missed; !found[m] || out.FinalV > best[m].FinalV {
 			best[m] = Option{
@@ -219,6 +217,14 @@ func (ps *periodSolver) frontier(capC, v0 float64, powers []float64) []Option {
 		}
 	}
 	return options
+}
+
+// resetCap puts the solver's capacitor at capC farads and v0 volts. It
+// assigns the fields, not the struct, so the capacitor keeps its curve
+// memo: η_cycle(capC) is then taken once per capacitor, not per subset.
+func (ps *periodSolver) resetCap(capC, v0 float64) *supercap.Capacitor {
+	ps.cap.C, ps.cap.V, ps.cap.P = capC, v0, ps.pc.Params
+	return &ps.cap
 }
 
 // usePowers makes powers the traces' slot powers. A trajectory holds only

@@ -144,10 +144,12 @@ func (h *Horizon) RestoreState(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("core: horizon restore: %w", err)
 	}
+	if err := h.lut.RestoreEntries(st.LUT); err != nil {
+		return fmt.Errorf("core: horizon restore: %w", err)
+	}
 	h.Expansions = st.Expansions
 	h.Replans = st.Replans
 	h.lut.Builds = st.LUTBuilds
 	h.lut.Lookups = st.LUTLookups
-	h.lut.RestoreEntries(st.LUT)
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -55,5 +56,38 @@ func TestLUTSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	if dst.Builds != 0 {
 		t.Fatalf("restored table rebuilt %d entries", dst.Builds)
+	}
+}
+
+// Checkpointed and cached LUT entries are input: one whose capacitor or
+// voltage bucket lies outside the table must be refused with an error, not
+// index into a neighbouring entry or panic.
+func TestRestoreRejectsOutOfRangeLUTEntries(t *testing.T) {
+	tb := solar.DefaultTimeBase(1)
+	pc := DefaultPlanConfig(task.WAM(), tb, []float64{5, 40})
+	tr := solar.MustGenerate(solar.GenConfig{Base: tb, Seed: 3})
+	opts := []Option{{Misses: 0, Te: []bool{true}, FinalV: 2}}
+	for name, e := range map[string]LUTEntry{
+		"cap_idx = H":    {Profile: "dark", CapIdx: len(pc.Capacitances), VBucket: 0, Options: opts},
+		"cap_idx < 0":    {Profile: "dark", CapIdx: -1, VBucket: 0, Options: opts},
+		"v_bucket = -1":  {Profile: "dark", CapIdx: 0, VBucket: -1, Options: opts},
+		"v_bucket = B":   {Profile: "dark", CapIdx: 1, VBucket: pc.VBuckets, Options: opts},
+		"empty frontier": {Profile: "dark", CapIdx: 0, VBucket: 0},
+	} {
+		blob, err := json.Marshal(horizonState{LUT: []LUTEntry{e}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := NewClairvoyant(pc, tr, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.RestoreState(blob); err == nil {
+			t.Errorf("%s: horizon restore accepted %+v", name, e)
+		}
+		plan := PlanResult{Decisions: make([]Decision, tb.TotalPeriods())}
+		if _, err := NewOptimalFromPlan(pc, tr, plan, []LUTEntry{e}); err == nil {
+			t.Errorf("%s: NewOptimalFromPlan accepted %+v", name, e)
+		}
 	}
 }

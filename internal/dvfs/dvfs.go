@@ -28,8 +28,12 @@ type LoadTune struct {
 	eff []float64
 	edf []int
 
-	// planned holds the speed chosen for each task in the current slot.
-	planned map[int]float64
+	// planned[n] is the speed chosen for task n in the current slot; 0
+	// means not planned (every ladder level is positive).
+	planned []float64
+	// out and speeds are the results of Slot and Speeds, reused.
+	out    []int
+	speeds []float64
 }
 
 // NewLoadTune returns the DVFS load-tuning scheduler.
@@ -39,7 +43,9 @@ func NewLoadTune(g *task.Graph) *LoadTune {
 		g:       g,
 		eff:     eff,
 		edf:     edfOrder(eff),
-		planned: make(map[int]float64),
+		planned: make([]float64, g.N()),
+		out:     make([]int, 0, g.N()),
+		speeds:  make([]float64, 0, g.N()),
 	}
 }
 
@@ -64,17 +70,16 @@ func (s *LoadTune) BeginPeriod(*sim.PeriodView) sim.PeriodPlan { return sim.Keep
 
 // Slot implements sim.Scheduler: every ready task is offered for execution
 // at its just-in-time pace; the engine's brownout trimming drops the tail
-// if even the paced load cannot be carried.
+// if even the paced load cannot be carried. The result is the scheduler's
+// buffer, valid until the next Slot.
 func (s *LoadTune) Slot(v *sim.SlotView) []int {
-	for k := range s.planned {
-		delete(s.planned, k)
-	}
+	clear(s.planned)
 	now := v.Elapsed()
 	// Boost when the active capacitor is nearly full: the marginal solar
 	// joule would spill, so spending it on the f³ premium is free.
 	boost := v.Cap != nil && v.Cap.UsableEnergy() > 0.95*v.Cap.CapacityEnergy()
 
-	out := make([]int, 0, s.g.N())
+	out := s.out[:0]
 	for _, n := range s.edf {
 		if !v.Tasks.Ready(n) {
 			continue
@@ -100,6 +105,7 @@ func (s *LoadTune) Slot(v *sim.SlotView) []int {
 		s.planned[n] = f
 		out = append(out, n)
 	}
+	s.out = out
 	return out
 }
 
@@ -113,15 +119,18 @@ func levelFor(need float64) float64 {
 	return 1
 }
 
-// Speeds implements sim.SpeedScheduler.
+// Speeds implements sim.SpeedScheduler: each selected task runs at the
+// speed Slot planned for it, or at full speed if none was planned. The
+// result is the scheduler's buffer, valid until the next Speeds.
 func (s *LoadTune) Speeds(_ *sim.SlotView, selected []int) []float64 {
-	speeds := make([]float64, len(selected))
-	for i, n := range selected {
-		f, ok := s.planned[n]
-		if !ok {
-			f = 1
+	speeds := s.speeds[:0]
+	for _, n := range selected {
+		f := 1.0
+		if n >= 0 && n < len(s.planned) && s.planned[n] > 0 {
+			f = s.planned[n]
 		}
-		speeds[i] = f
+		speeds = append(speeds, f)
 	}
+	s.speeds = speeds
 	return speeds
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"solarsched/internal/nvp"
+	"solarsched/internal/rng"
 	"solarsched/internal/sched"
 	"solarsched/internal/sim"
 	"solarsched/internal/solar"
@@ -186,5 +187,140 @@ func TestExecSlotDVFSTrimsWithSpeeds(t *testing.T) {
 	}
 	if ts2.Remaining(0) != 300-15 {
 		t.Fatalf("paced progress %v, want 15s", 300-ts2.Remaining(0))
+	}
+}
+
+// mapLoadTune is LoadTune as it was before its slot buffers: a fresh
+// result slice per Slot and Speeds call and a cleared map of planned
+// speeds. The differential test holds the buffered scheduler to it.
+type mapLoadTune struct {
+	g       *task.Graph
+	eff     []float64
+	edf     []int
+	planned map[int]float64
+}
+
+func newMapLoadTune(g *task.Graph) *mapLoadTune {
+	eff := sched.EffectiveDeadlines(g)
+	return &mapLoadTune{g: g, eff: eff, edf: edfOrder(eff), planned: make(map[int]float64)}
+}
+
+func (s *mapLoadTune) Slot(v *sim.SlotView) []int {
+	for k := range s.planned {
+		delete(s.planned, k)
+	}
+	now := v.Elapsed()
+	boost := v.Cap != nil && v.Cap.UsableEnergy() > 0.95*v.Cap.CapacityEnergy()
+	out := make([]int, 0, s.g.N())
+	for _, n := range s.edf {
+		if !v.Tasks.Ready(n) {
+			continue
+		}
+		slack := s.eff[n] - now
+		if slack <= 0 {
+			continue
+		}
+		need := v.Tasks.Remaining(n) / slack
+		if need > 1 {
+			need = 1
+		}
+		f := levelFor(need)
+		if boost {
+			f = 1
+		}
+		if now+v.Tasks.Remaining(n)/f > s.eff[n]+1e-9 && f < 1 {
+			f = 1
+		}
+		s.planned[n] = f
+		out = append(out, n)
+	}
+	return out
+}
+
+func (s *mapLoadTune) Speeds(_ *sim.SlotView, selected []int) []float64 {
+	speeds := make([]float64, len(selected))
+	for i, n := range selected {
+		f, ok := s.planned[n]
+		if !ok {
+			f = 1
+		}
+		speeds[i] = f
+	}
+	return speeds
+}
+
+// Over seeded task states, slot times and charge levels, the buffered
+// scheduler offers the same tasks in the same order at the same speeds as
+// the map version — also for selections holding unplanned and
+// out-of-range task ids.
+func TestLoadTuneMatchesMapVersion(t *testing.T) {
+	src := rng.New(17)
+	for trial := 0; trial < 400; trial++ {
+		g := []*task.Graph{task.ECG(), task.WAM(), task.SHM(), task.RandomCase(1)}[trial%4]
+		tb := solar.DefaultTimeBase(1)
+		got, want := NewLoadTune(g), newMapLoadTune(g)
+		ts := nvp.MustNewSet(g)
+		cap := supercap.New(src.Range(1, 60), supercap.DefaultParams())
+		v := &sim.SlotView{Tasks: ts, Cap: cap, DirectEff: 0.95, Base: tb}
+		for slot := 0; slot < tb.SlotsPerPeriod; slot++ {
+			v.Slot = slot
+			cap.V = src.Range(cap.P.VLow, cap.P.VHigh)
+			if src.Bool(0.2) {
+				cap.V = cap.P.VHigh
+			}
+			order := got.Slot(v)
+			ref := want.Slot(v)
+			if !equalInts(order, ref) {
+				t.Fatalf("trial %d slot %d: Slot = %v, want %v", trial, slot, order, ref)
+			}
+			selected := append([]int(nil), order...)
+			if src.Bool(0.3) {
+				selected = append(selected, src.Intn(g.N()), g.N()+src.Intn(3), -1)
+			}
+			sp, refSp := got.Speeds(v, selected), want.Speeds(v, selected)
+			if len(sp) != len(refSp) {
+				t.Fatalf("trial %d slot %d: %d speeds, want %d", trial, slot, len(sp), len(refSp))
+			}
+			for i := range sp {
+				if sp[i] != refSp[i] {
+					t.Fatalf("trial %d slot %d: speed of task %d = %v, want %v", trial, slot, selected[i], sp[i], refSp[i])
+				}
+			}
+			run := ts.FilterRunnable(order)
+			ts.RunScaled(run, sp[:len(run)], sim.DVFSPowerExponent, tb.SlotSeconds*src.Range(0.5, 3))
+			ts.CheckDeadlines(float64(slot+1) * tb.SlotSeconds)
+		}
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// A warm Slot plus Speeds allocates nothing: the sweep's DVFS runs call
+// both on every slot.
+func TestLoadTuneSlotAllocFree(t *testing.T) {
+	g := task.ECG()
+	s := NewLoadTune(g)
+	ts := nvp.MustNewSet(g)
+	cap := supercap.New(10, supercap.DefaultParams())
+	cap.Charge(20)
+	v := &sim.SlotView{Tasks: ts, Cap: cap, DirectEff: 0.95, Base: smallBase(1)}
+	if len(s.Slot(v)) == 0 {
+		t.Fatal("nothing offered at slot 0")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Speeds(v, s.Slot(v))
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Slot+Speeds allocates %v times", allocs)
 	}
 }

@@ -253,6 +253,47 @@ func (m *Matrix) MulVecT(v Vector, dst Vector) Vector {
 	return dst
 }
 
+// MulVecTAddOuter computes dst = mᵀ·v and applies the rank-1 update
+// m += s·v·wᵀ in one pass over m's rows, allocating dst when nil. It
+// returns dst. The result and the updated m are bit-identical to
+// m.MulVecT(v, dst) followed by m.AddOuterScaled(s, v, w): both kernels
+// walk the rows in ascending order, each element of m is read for the
+// product before the update writes it, and the kernels' zero-skips are
+// kept (v[i] == 0 skips row i's product, s·v[i] == 0 its update). dst must
+// not alias v or w.
+func (m *Matrix) MulVecTAddOuter(v Vector, s float64, w, dst Vector) Vector {
+	mustLen(len(v), m.Rows, "Matrix.MulVecTAddOuter input")
+	mustLen(len(w), m.Cols, "Matrix.MulVecTAddOuter outer")
+	if dst == nil {
+		dst = NewVector(m.Cols)
+	}
+	mustLen(len(dst), m.Cols, "Matrix.MulVecTAddOuter output")
+	for j := range dst {
+		dst[j] = 0
+	}
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		vi := v[i]
+		sv := s * vi
+		switch {
+		case vi != 0 && sv != 0:
+			for j, x := range row {
+				dst[j] += x * vi
+				row[j] = x + sv*w[j]
+			}
+		case vi != 0:
+			for j, x := range row {
+				dst[j] += x * vi
+			}
+		case sv != 0:
+			for j := range row {
+				row[j] += sv * w[j]
+			}
+		}
+	}
+	return dst
+}
+
 // Mul computes the product a·b into a new matrix.
 func Mul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {

@@ -111,7 +111,8 @@ type SpeedScheduler interface {
 	Scheduler
 	// Speeds returns one speed per entry of selected (the engine's
 	// post-filter task list for this slot). Values are clamped to
-	// [MinDVFSSpeed, 1].
+	// [MinDVFSSpeed, 1]. Like Slot's result, the slice may be the
+	// scheduler's buffer: it is valid until the next call.
 	Speeds(v *SlotView, selected []int) []float64
 }
 

@@ -83,7 +83,7 @@ func (b *Bank) MigrateTo(i int) (lost float64) {
 // amount and the (post-discharge) efficiency estimate; it is a reporting
 // aid, not part of the energy bookkeeping.
 func fromLoss(c *Capacitor, delivered float64) float64 {
-	eta := c.P.EtaDis(c.V) * c.P.EtaCycle(c.C)
+	eta := c.etaDis() * c.etaCycle()
 	if eta <= 0 || delivered <= 0 {
 		return 0
 	}

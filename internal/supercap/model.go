@@ -64,25 +64,37 @@ func (p Params) Validate() error {
 
 // EtaChr is the input-regulator efficiency at capacitor voltage v (Fig. 5,
 // rising with voltage: boosting into a nearly-empty capacitor is expensive).
-func (p Params) EtaChr(v float64) float64 {
-	return clamp01(p.ChrMax - p.ChrDrop*math.Exp(-p.ChrRate*(v-p.VLow)))
-}
+func (p Params) EtaChr(v float64) float64 { return p.etaChr(v) }
 
 // EtaDis is the output-regulator efficiency at capacitor voltage v (Fig. 5).
-func (p Params) EtaDis(v float64) float64 {
-	return clamp01(p.DisMax - p.DisDrop*math.Exp(-p.DisRate*(v-p.VLow)))
-}
+func (p Params) EtaDis(v float64) float64 { return p.etaDis(v) }
 
 // EtaCycle is the average storage-cycle efficiency of a capacitor of c
 // farads ([12]; larger capacitors have slightly higher equivalent series
 // loss per stored joule).
-func (p Params) EtaCycle(c float64) float64 {
-	return clamp01(p.CycleBase - p.CycleLog*math.Log(1+c))
-}
+func (p Params) EtaCycle(c float64) float64 { return p.etaCycle(c) }
 
 // LeakPower is the self-discharge power (W) of a capacitor of c farads at
 // voltage v.
-func (p Params) LeakPower(v, c float64) float64 {
+func (p Params) LeakPower(v, c float64) float64 { return p.leakPower(v, c) }
+
+// The curves proper read Params through a pointer: the capacitor's slot
+// arithmetic calls them several times per slot, and a value receiver
+// would copy the whole parameter set on every call.
+
+func (p *Params) etaChr(v float64) float64 {
+	return clamp01(p.ChrMax - p.ChrDrop*math.Exp(-p.ChrRate*(v-p.VLow)))
+}
+
+func (p *Params) etaDis(v float64) float64 {
+	return clamp01(p.DisMax - p.DisDrop*math.Exp(-p.DisRate*(v-p.VLow)))
+}
+
+func (p *Params) etaCycle(c float64) float64 {
+	return clamp01(p.CycleBase - p.CycleLog*math.Log(1+c))
+}
+
+func (p *Params) leakPower(v, c float64) float64 {
 	if v <= 0 {
 		return 0
 	}
@@ -107,6 +119,52 @@ type Capacitor struct {
 	C float64 // capacitance in farads
 	V float64 // current voltage
 	P Params
+
+	memo curveMemo
+}
+
+// curveMemo holds the last value of the two regulator curves a slot
+// evaluates more than once: η_cycle(C) on every charge, discharge and trim
+// check, and η_dis(V), which a deficit slot's trim (Deliverable) and
+// settle (Discharge) evaluate at the same voltage. Each value is keyed on
+// exactly the inputs its curve reads, compared bit for bit, so it is
+// recomputed whenever any of them changed — however the change was made:
+// V, C and P are public, and aging, the bank and callers all write them.
+// A memo hit returns the value the curve would compute. The memo is not
+// part of the capacitor's state (State, JSON) and is never invalidated.
+type curveMemo struct {
+	cycleOK                     bool
+	cycleC, cycleBase, cycleLog float64
+	cycle                       float64
+
+	disOK                                   bool
+	disV, disMax, disDrop, disRate, disVLow float64
+	dis                                     float64
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// etaCycle is P.EtaCycle(C) through the memo.
+func (s *Capacitor) etaCycle() float64 {
+	m, p := &s.memo, &s.P
+	if !m.cycleOK || !sameBits(m.cycleC, s.C) || !sameBits(m.cycleBase, p.CycleBase) || !sameBits(m.cycleLog, p.CycleLog) {
+		m.cycle = p.etaCycle(s.C)
+		m.cycleC, m.cycleBase, m.cycleLog = s.C, p.CycleBase, p.CycleLog
+		m.cycleOK = true
+	}
+	return m.cycle
+}
+
+// etaDis is P.EtaDis(V) through the memo.
+func (s *Capacitor) etaDis() float64 {
+	m, p := &s.memo, &s.P
+	if !m.disOK || !sameBits(m.disV, s.V) || !sameBits(m.disMax, p.DisMax) || !sameBits(m.disDrop, p.DisDrop) ||
+		!sameBits(m.disRate, p.DisRate) || !sameBits(m.disVLow, p.VLow) {
+		m.dis = p.etaDis(s.V)
+		m.disV, m.disMax, m.disDrop, m.disRate, m.disVLow = s.V, p.DisMax, p.DisDrop, p.DisRate, p.VLow
+		m.disOK = true
+	}
+	return m.dis
 }
 
 // New returns a capacitor of c farads at the cut-off voltage (empty of
@@ -154,7 +212,7 @@ func (s *Capacitor) Charge(e float64) (stored float64) {
 	if e <= 0 || s.V >= s.P.VHigh {
 		return 0
 	}
-	eta := s.P.EtaChr(s.V) * s.P.EtaCycle(s.C)
+	eta := s.P.etaChr(s.V) * s.etaCycle()
 	stored = e * eta
 	room := 0.5*s.C*s.P.VHigh*s.P.VHigh - s.Energy()
 	if stored > room {
@@ -172,7 +230,7 @@ func (s *Capacitor) Discharge(e float64) (delivered float64) {
 	if e <= 0 || s.V <= s.P.VLow {
 		return 0
 	}
-	eta := s.P.EtaDis(s.V) * s.P.EtaCycle(s.C)
+	eta := s.etaDis() * s.etaCycle()
 	deliverable := s.UsableEnergy() * eta
 	if e > deliverable {
 		e = deliverable
@@ -185,13 +243,13 @@ func (s *Capacitor) Discharge(e float64) (delivered float64) {
 // right now, i.e. usable energy through the output path at the current
 // voltage. This is what schedulers consult before committing load.
 func (s *Capacitor) Deliverable() float64 {
-	return s.UsableEnergy() * s.P.EtaDis(s.V) * s.P.EtaCycle(s.C)
+	return s.UsableEnergy() * s.etaDis() * s.etaCycle()
 }
 
 // Leak applies self-discharge over dt seconds (the P_leak·Δt term of
 // equation (1)). Leakage continues below the cut-off voltage.
 func (s *Capacitor) Leak(dt float64) {
-	s.setEnergy(s.Energy() - s.P.LeakPower(s.V, s.C)*dt)
+	s.setEnergy(s.Energy() - s.P.leakPower(s.V, s.C)*dt)
 }
 
 // Clone returns a copy of the capacitor state (used by planners that
