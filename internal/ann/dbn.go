@@ -38,12 +38,18 @@ type Output struct {
 func (o Output) Cap() int { return o.CapProbs.ArgMax() }
 
 // TeMask returns the boolean executed-task set at threshold 0.5.
-func (o Output) TeMask() []bool {
-	m := make([]bool, len(o.Te))
-	for i, p := range o.Te {
-		m[i] = p >= 0.5
+func (o Output) TeMask() []bool { return o.TeMaskTo(nil) }
+
+// TeMaskTo is TeMask writing into dst, which it returns; dst is replaced
+// by a fresh mask unless it has one entry per task.
+func (o Output) TeMaskTo(dst []bool) []bool {
+	if len(dst) != len(o.Te) {
+		dst = make([]bool, len(o.Te))
 	}
-	return m
+	for i, p := range o.Te {
+		dst[i] = p >= 0.5
+	}
+	return dst
 }
 
 // Network is the DBN: a stack of sigmoid trunk layers (RBM-pretrainable)
@@ -119,20 +125,20 @@ func (n *Network) Clone() *Network {
 	return c
 }
 
-// trunkForward returns the activations of every trunk layer (index 0 is the
-// input itself). Activation buffers come from ws when non-nil (valid until
-// ws.Reset); a nil ws allocates fresh vectors.
-func (n *Network) trunkForward(x mat.Vector, ws *mat.Workspace) []mat.Vector {
-	acts := make([]mat.Vector, len(n.trunkW)+1)
-	acts[0] = x
+// trunkForward returns the last trunk layer's activation. Activation
+// buffers come from ws when non-nil (valid until ws.Reset); a nil ws
+// allocates fresh vectors. Each layer reads only the one before it, so
+// no per-call list of activations is kept.
+func (n *Network) trunkForward(x mat.Vector, ws *mat.Workspace) mat.Vector {
+	a := x
 	for l, w := range n.trunkW {
-		a := w.MulVec(acts[l], ws.Vec(w.Rows))
-		for i := range a {
-			a[i] = mat.Sigmoid(a[i] + n.trunkB[l][i])
+		next := w.MulVec(a, ws.Vec(w.Rows))
+		for i := range next {
+			next[i] = mat.Sigmoid(next[i] + n.trunkB[l][i])
 		}
-		acts[l+1] = a
+		a = next
 	}
-	return acts
+	return a
 }
 
 // Forward runs the full network, allocating fresh output buffers. It is safe
@@ -147,7 +153,7 @@ func (n *Network) ForwardWS(x mat.Vector, ws *mat.Workspace) Output {
 	if len(x) != n.cfg.InputDim {
 		panic(fmt.Sprintf("ann: input dim %d, want %d", len(x), n.cfg.InputDim))
 	}
-	h := n.trunkForward(x, ws)[len(n.trunkW)]
+	h := n.trunkForward(x, ws)
 	capLogits := n.capW.MulVec(h, ws.Vec(n.cfg.CapClasses)).Add(n.capB)
 	te := n.teW.MulVec(h, ws.Vec(n.cfg.TaskCount))
 	for i := range te {

@@ -55,12 +55,27 @@ func refPretrain(n *Network, inputs []mat.Vector, epochs int, lr float64) {
 	}
 }
 
+// refTrunkForward returns the activations of every trunk layer (index 0 is
+// the input itself) in fresh vectors.
+func refTrunkForward(n *Network, x mat.Vector) []mat.Vector {
+	acts := make([]mat.Vector, len(n.trunkW)+1)
+	acts[0] = x
+	for l, w := range n.trunkW {
+		a := w.MulVec(acts[l], nil)
+		for i := range a {
+			a[i] = mat.Sigmoid(a[i] + n.trunkB[l][i])
+		}
+		acts[l+1] = a
+	}
+	return acts
+}
+
 // refStep is the fine-tuning step as it was before its scratch, the fused
 // kernel and the on-demand loss: fresh buffers for every activation and
 // gradient, a MulVecT and an AddOuterScaled pass per weight matrix, and
 // the loss on every sample.
 func refStep(n *Network, x mat.Vector, t Target, lr, alphaW float64) float64 {
-	acts := n.trunkForward(x, nil)
+	acts := refTrunkForward(n, x)
 	h := acts[len(n.trunkW)]
 	capProbs := mat.Softmax(n.capW.MulVec(h, nil).Add(n.capB), nil)
 	alpha := n.alphaW.Dot(h) + n.alphaB

@@ -421,7 +421,7 @@ func TestCloseUnderPredecessors(t *testing.T) {
 	g := task.ECG() // lpf->hpf1->hpf2->{qrs,fft}, qrs->aes
 	te := make([]bool, g.N())
 	te[5] = true // aes only
-	got := closeUnderPredecessors(g, te)
+	got := closeUnderPredecessors(g, topoOrder(g), te)
 	// aes needs qrs needs hpf2 needs hpf1 needs lpf.
 	for _, n := range []int{0, 1, 2, 3, 5} {
 		if !got[n] {

@@ -160,7 +160,7 @@ func decisionFrom(pc PlanConfig, req DecideRequest, out ann.Output) OnlineDecisi
 	d := OnlineDecision{
 		Cap:   out.Cap(),
 		Alpha: alphaFromOutput(out.Alpha),
-		Te:    closeUnderPredecessors(pc.Graph, out.TeMask()),
+		Te:    closeUnderPredecessors(pc.Graph, topoOrder(pc.Graph), out.TeMask()),
 	}
 	d.Intra = d.Alpha >= 1-pc.Delta && d.Alpha <= 1+pc.Delta
 

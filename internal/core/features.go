@@ -26,10 +26,25 @@ func FeatureDim(h int) int { return solarBins + h + 1 + 2 }
 // (eq. (19)), and periodOfDay/periodsPerDay locate the period in the day.
 func Features(prevPowers, voltages []float64, accDMR float64,
 	periodOfDay, periodsPerDay int, p supercap.Params) mat.Vector {
+	return featuresTo(nil, prevPowers, voltages, accDMR, periodOfDay, periodsPerDay, p)
+}
 
-	x := mat.NewVector(FeatureDim(len(voltages)))
-	// Down-sample the previous period's powers into solarBins means.
-	if len(prevPowers) > 0 {
+// featuresTo is Features writing into dst, which it returns; dst is
+// replaced by a fresh vector unless it has the feature dimension.
+func featuresTo(dst mat.Vector, prevPowers, voltages []float64, accDMR float64,
+	periodOfDay, periodsPerDay int, p supercap.Params) mat.Vector {
+
+	x := dst
+	if len(x) != FeatureDim(len(voltages)) {
+		x = mat.NewVector(FeatureDim(len(voltages)))
+	}
+	// Down-sample the previous period's powers into solarBins means; the
+	// first period has none, and its bins read zero.
+	if len(prevPowers) == 0 {
+		for b := 0; b < solarBins; b++ {
+			x[b] = 0
+		}
+	} else {
 		per := float64(len(prevPowers)) / solarBins
 		for b := 0; b < solarBins; b++ {
 			lo := int(float64(b) * per)

@@ -121,9 +121,14 @@ func (s *Proposed) watchdogUpdate(v *sim.PeriodView, rejected bool) {
 		n := s.pc.Graph.N()
 		completed := v.Base.PeriodIndex(v.Day, v.Period)
 		missed := v.AccumulatedDMR * float64(completed*n)
-		s.hs.missedHist = append(s.hs.missedHist, missed)
-		if len(s.hs.missedHist) > hc.GuardWindow+1 {
-			s.hs.missedHist = s.hs.missedHist[1:]
+		// Slide the window in place: once full, drop the oldest entry by
+		// shifting the rest down, so the buffer never creeps through its
+		// backing array.
+		if h := s.hs.missedHist; len(h) >= hc.GuardWindow+1 {
+			copy(h, h[1:])
+			h[len(h)-1] = missed
+		} else {
+			s.hs.missedHist = append(h, missed)
 		}
 		if !trip && len(s.hs.missedHist) == hc.GuardWindow+1 {
 			windowDMR := (missed - s.hs.missedHist[0]) / float64(hc.GuardWindow*n)

@@ -43,6 +43,21 @@ type Proposed struct {
 	// Not part of checkpointed state.
 	ws *mat.Workspace
 
+	// Period scratch, rewritten by every BeginPeriod (not checkpointed
+	// state): the feature vector, the bank voltages, the thresholded te
+	// mask, the rejected output's copy of the last accepted set and the
+	// cheapest-affordable fallback. A mask handed out as the plan's
+	// Allowed stays untouched until the next BeginPeriod.
+	x     mat.Vector
+	volts []float64
+	te    []bool
+	rejTe []bool
+	cheap cheapScratch
+	// full is the whole task set and topo the graph's topological order,
+	// both built once and never written.
+	full []bool
+	topo []int
+
 	// Fault-injection hook (nil when faults are disabled) and the hardened
 	// variant's run state.
 	inj      *fault.Injector
@@ -117,6 +132,14 @@ func NewProposed(pc PlanConfig, net *ann.Network) (*Proposed, error) {
 	if cfg.TaskCount != pc.Graph.N() {
 		return nil, fmt.Errorf("core: network has %d task outputs, graph has %d", cfg.TaskCount, pc.Graph.N())
 	}
+	topo, err := pc.Graph.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	full := make([]bool, pc.Graph.N())
+	for i := range full {
+		full[i] = true
+	}
 	return &Proposed{
 		pc:         pc,
 		net:        net,
@@ -124,6 +147,8 @@ func NewProposed(pc PlanConfig, net *ann.Network) (*Proposed, error) {
 		curPowers:  make([]float64, pc.Base.SlotsPerPeriod),
 		fine:       newFinePolicies(pc.Graph),
 		wcma:       solar.NewWCMA(0.5, 4, 3, pc.Base.PeriodsPerDay),
+		full:       full,
+		topo:       topo,
 	}, nil
 }
 
@@ -171,9 +196,13 @@ func (s *Proposed) BeginPeriod(v *sim.PeriodView) sim.PeriodPlan {
 		s.ws = mat.NewWorkspace()
 	}
 	s.ws.Reset() // reclaim the previous period's inference scratch
-	x := Features(s.prevPowers, v.Bank.Voltages(), v.AccumulatedDMR,
+	s.volts = s.volts[:0]
+	for _, c := range v.Bank.Caps {
+		s.volts = append(s.volts, c.V)
+	}
+	s.x = featuresTo(s.x, s.prevPowers, s.volts, v.AccumulatedDMR,
 		v.Period, v.Base.PeriodsPerDay, s.pc.Params)
-	out := s.net.ForwardWS(x, s.ws)
+	out := s.net.ForwardWS(s.x, s.ws)
 	if s.inj != nil {
 		out = s.inj.CorruptDBN(out)
 	}
@@ -188,16 +217,15 @@ func (s *Proposed) BeginPeriod(v *sim.PeriodView) sim.PeriodPlan {
 		rejected = true
 		s.mSanitizerRejects.Inc()
 		if s.hs.lastGoodTe != nil {
-			te = append([]bool(nil), s.hs.lastGoodTe...)
+			s.rejTe = append(s.rejTe[:0], s.hs.lastGoodTe...)
+			te = s.rejTe
 		} else {
-			te = make([]bool, s.pc.Graph.N())
-			for i := range te {
-				te[i] = true
-			}
+			te = s.full
 		}
 		capStar = v.Bank.ActiveIndex()
 	} else {
-		te = closeUnderPredecessors(s.pc.Graph, out.TeMask())
+		s.te = out.TeMaskTo(s.te)
+		te = closeUnderPredecessors(s.pc.Graph, s.topo, s.te)
 		capStar = out.Cap()
 	}
 
@@ -209,19 +237,15 @@ func (s *Proposed) BeginPeriod(v *sim.PeriodView) sim.PeriodPlan {
 	// cheapest task chain: an empty selection falls back to the greedy
 	// cheapest affordable subset, which is what the offline optimizer's
 	// night rationing converges to.
-	full := make([]bool, s.pc.Graph.N())
-	for i := range full {
-		full[i] = true
-	}
 	if !s.DisableGuards {
-		if !cold && Alpha(s.pc.Graph, full, forecast) <= 1 {
+		if !cold && Alpha(s.pc.Graph, s.full, forecast) <= 1 {
 			if popcount(te) != s.pc.Graph.N() {
 				s.mFullOverride.Inc()
 			}
-			te = full
+			te = s.full
 		} else if popcount(te) == 0 {
 			budget := v.Bank.Active().Deliverable() + forecast*s.pc.DirectEff
-			te = cheapestAffordable(s.pc.Graph, budget)
+			te = s.cheap.cheapestAffordable(s.pc.Graph, budget)
 			s.mFallback.Inc()
 		}
 	}
@@ -285,12 +309,25 @@ func (s *Proposed) Slot(v *sim.SlotView) []int {
 	return s.policy(v)
 }
 
+// cheapScratch is cheapestAffordable's buffers: the selection it returns
+// and chainCost's visit marks.
+type cheapScratch struct {
+	te, seen []bool
+}
+
 // cheapestAffordable greedily selects the cheapest dependence-closed task
 // subset whose total energy fits the budget: tasks are considered in
 // ascending chain-closure cost, each pulled in together with its not-yet
-// selected ancestors.
-func cheapestAffordable(g *task.Graph, budget float64) []bool {
-	te := make([]bool, g.N())
+// selected ancestors. The result is the scratch's buffer, valid until the
+// next call.
+func (cs *cheapScratch) cheapestAffordable(g *task.Graph, budget float64) []bool {
+	if len(cs.te) != g.N() {
+		cs.te, cs.seen = make([]bool, g.N()), make([]bool, g.N())
+	}
+	te := cs.te
+	for i := range te {
+		te[i] = false
+	}
 	remaining := budget
 	for {
 		best, bestCost := -1, 0.0
@@ -298,7 +335,7 @@ func cheapestAffordable(g *task.Graph, budget float64) []bool {
 			if te[n] {
 				continue
 			}
-			cost := chainCost(g, te, n)
+			cost := cs.chainCost(g, te, n)
 			if cost <= remaining && (best < 0 || cost < bestCost) {
 				best, bestCost = n, cost
 			}
@@ -312,21 +349,25 @@ func cheapestAffordable(g *task.Graph, budget float64) []bool {
 }
 
 // chainCost returns the energy of task n plus all its unselected ancestors.
-func chainCost(g *task.Graph, te []bool, n int) float64 {
-	seen := make([]bool, g.N())
-	var visit func(int) float64
-	visit = func(m int) float64 {
-		if te[m] || seen[m] {
-			return 0
-		}
-		seen[m] = true
-		cost := g.Tasks[m].Energy()
-		for _, p := range g.Predecessors(m) {
-			cost += visit(p)
-		}
-		return cost
+func (cs *cheapScratch) chainCost(g *task.Graph, te []bool, n int) float64 {
+	for i := range cs.seen {
+		cs.seen[i] = false
 	}
-	return visit(n)
+	return cs.visit(g, te, n)
+}
+
+// visit sums the energy of m and its unselected, unvisited ancestors,
+// depth first in predecessor order.
+func (cs *cheapScratch) visit(g *task.Graph, te []bool, m int) float64 {
+	if te[m] || cs.seen[m] {
+		return 0
+	}
+	cs.seen[m] = true
+	cost := g.Tasks[m].Energy()
+	for _, p := range g.Predecessors(m) {
+		cost += cs.visit(g, te, p)
+	}
+	return cost
 }
 
 // addChain marks task n and all its ancestors selected.
@@ -340,14 +381,11 @@ func addChain(g *task.Graph, te []bool, n int) {
 	}
 }
 
-// closeUnderPredecessors repairs a learned task mask so that every selected
-// task's predecessors are selected too (constraint (7)) — otherwise the
-// selection could never execute and the period would waste its energy.
-func closeUnderPredecessors(g *task.Graph, te []bool) []bool {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return te
-	}
+// closeUnderPredecessors repairs a learned task mask in place so that every
+// selected task's predecessors are selected too (constraint (7)) —
+// otherwise the selection could never execute and the period would waste
+// its energy. order is g's topological order.
+func closeUnderPredecessors(g *task.Graph, order []int, te []bool) []bool {
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		if !te[n] {
@@ -358,6 +396,16 @@ func closeUnderPredecessors(g *task.Graph, te []bool) []bool {
 		}
 	}
 	return te
+}
+
+// topoOrder is g's topological order, or nil when g has a cycle: the
+// predecessor closure then leaves a mask as it is.
+func topoOrder(g *task.Graph) []int {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil
+	}
+	return order
 }
 
 // sampleRecorder runs the clairvoyant teacher through the engine while

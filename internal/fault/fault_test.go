@@ -222,6 +222,56 @@ func TestObserveBankCorruptsCopyOnly(t *testing.T) {
 	}
 }
 
+// observeBankRef is ObserveBank as it was before the in-place refresh: a
+// fresh deep copy per observation, corrupted by the same draws.
+func observeBankRef(inj *Injector, b *supercap.Bank) *supercap.Bank {
+	out := b.Clone()
+	if len(inj.lastVolts) < len(out.Caps) {
+		inj.lastVolts = append(inj.lastVolts, make([]float64, len(out.Caps)-len(inj.lastVolts))...)
+		inj.haveVolts = append(inj.haveVolts, make([]bool, len(out.Caps)-len(inj.haveVolts))...)
+	}
+	for i, c := range out.Caps {
+		c.V = inj.observeVolt(i, c.V)
+	}
+	return out
+}
+
+// TestObserveBankRefreshesInPlace checks that the observation shim hands
+// out one injector-owned bank, refreshed on every call without
+// allocating, whose readings match a fresh copy's draw for draw.
+func TestObserveBankRefreshesInPlace(t *testing.T) {
+	cfg := Reference()
+	cfg.Seed = 11
+	got, want := NewInjector(cfg), NewInjector(cfg)
+	b := supercap.MustNewBank([]float64{2, 10, 50}, supercap.DefaultParams())
+	first := got.ObserveBank(b)
+	want.ObserveBank(b)
+	for slot := 0; slot < 500; slot++ {
+		b.Caps[slot%3].V = 1 + float64(slot%17)/10
+		if slot%50 == 0 {
+			b.SwitchTo(slot / 50 % 3)
+		}
+		o, r := got.ObserveBank(b), observeBankRef(want, b)
+		if o != first {
+			t.Fatalf("slot %d: ObserveBank handed out a new bank", slot)
+		}
+		if o.ActiveIndex() != r.ActiveIndex() {
+			t.Fatalf("slot %d: active %d, want %d", slot, o.ActiveIndex(), r.ActiveIndex())
+		}
+		for i := range o.Caps {
+			if math.Float64bits(o.Caps[i].V) != math.Float64bits(r.Caps[i].V) || o.Caps[i].C != b.Caps[i].C {
+				t.Fatalf("slot %d cap %d: observed %+v, want %+v", slot, i, *o.Caps[i], *r.Caps[i])
+			}
+		}
+	}
+	if got.Counts() != want.Counts() {
+		t.Fatalf("counts %+v, want %+v", got.Counts(), want.Counts())
+	}
+	if allocs := testing.AllocsPerRun(20, func() { got.ObserveBank(b) }); allocs != 0 {
+		t.Fatalf("ObserveBank allocates %.0f times per observation", allocs)
+	}
+}
+
 func TestVoltDropoutReturnsStaleReading(t *testing.T) {
 	p := supercap.DefaultParams()
 	b := supercap.MustNewBank([]float64{10}, p)

@@ -38,6 +38,11 @@ type Injector struct {
 	lastVolts  []float64 // last observed voltage per capacitor (stale reads)
 	haveVolts  []bool
 
+	// observed is the bank ObserveBank hands out, refreshed in place on
+	// every call. Scratch, not state: it is rebuilt from the true bank at
+	// the next observation, so checkpoints leave it out.
+	observed *supercap.Bank
+
 	counts Counts
 	m      *injMetrics
 }
@@ -150,16 +155,20 @@ func (inj *Injector) ObserveSolar(w float64) float64 {
 	return w
 }
 
-// ObserveBank returns a deep copy of the bank whose capacitor voltages are
+// ObserveBank returns a copy of the bank whose capacitor voltages are
 // what the node's sensors would report: possibly stale (dropout), noisy
 // and quantized. Schedulers see this copy; the engine keeps the ground
 // truth. The copy's parameters (including aging drift) are the real ones —
 // aging corrupts the plant, not the sensor.
+//
+// The copy is the injector's own bank, refreshed in place: it is valid
+// until the next ObserveBank call, and callers never keep or modify it.
 func (inj *Injector) ObserveBank(b *supercap.Bank) *supercap.Bank {
 	if inj == nil || !inj.cfg.SensorFaults() {
 		return b
 	}
-	out := b.Clone()
+	out := b.CopyInto(inj.observed)
+	inj.observed = out
 	if len(inj.lastVolts) < len(out.Caps) {
 		inj.lastVolts = append(inj.lastVolts, make([]float64, len(out.Caps)-len(inj.lastVolts))...)
 		inj.haveVolts = append(inj.haveVolts, make([]bool, len(out.Caps)-len(inj.haveVolts))...)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"solarsched/internal/ann"
 	"solarsched/internal/core"
@@ -37,7 +38,35 @@ func (c *Cache) Trace(ctx context.Context, cfg solar.GenConfig) (*solar.Trace, e
 	if err != nil {
 		return nil, err
 	}
-	return v.(*solar.Trace), nil
+	return c.handOut(v.(*solar.Trace)), nil
+}
+
+// traceDigestMemo is one handed-out trace's digest, computed on first use.
+type traceDigestMemo struct {
+	once   sync.Once
+	digest string
+}
+
+// handOut records tr as a trace the cache hands out, whose digest the
+// artifact keys may then memoize, and returns it.
+func (c *Cache) handOut(tr *solar.Trace) *solar.Trace {
+	if _, ok := c.traceDigests.Load(tr); !ok {
+		c.traceDigests.LoadOrStore(tr, new(traceDigestMemo))
+	}
+	return tr
+}
+
+// traceDigest is TraceDigest(tr), computed once per trace the cache handed
+// out and on every call for any other trace: a caller's own trace may
+// change between calls, a cached one may not.
+func (c *Cache) traceDigest(tr *solar.Trace) string {
+	v, ok := c.traceDigests.Load(tr)
+	if !ok {
+		return TraceDigest(tr)
+	}
+	m := v.(*traceDigestMemo)
+	m.once.Do(func() { m.digest = TraceDigest(tr) })
+	return m.digest
 }
 
 // BuiltinTrace returns one of the repository's deterministic built-in
@@ -57,12 +86,12 @@ func (c *Cache) BuiltinTrace(ctx context.Context, kind string, tb solar.TimeBase
 	if err != nil {
 		return nil, err
 	}
-	return v.(*solar.Trace), nil
+	return c.handOut(v.(*solar.Trace)), nil
 }
 
 // Patterns returns every day's migration pattern of (tr, g, directEff).
 func (c *Cache) Patterns(ctx context.Context, tr *solar.Trace, g *task.Graph, directEff float64) ([]sizing.DayPattern, error) {
-	key := artifactKey("patterns", TraceDigest(tr), GraphDigest(g), directEff)
+	key := artifactKey("patterns", c.traceDigest(tr), GraphDigest(g), directEff)
 	v, err := c.Do(ctx, key, func() (any, error) {
 		return sizing.Patterns(tr, g, directEff), nil
 	})
@@ -76,7 +105,7 @@ func (c *Cache) Patterns(ctx context.Context, tr *solar.Trace, g *task.Graph, di
 // trace, sharing the day patterns with any other bank size of the same
 // (trace, graph, directEff).
 func (c *Cache) Sizing(ctx context.Context, tr *solar.Trace, g *task.Graph, h int, p supercap.Params, directEff float64) ([]float64, error) {
-	key := artifactKey("sizing", TraceDigest(tr), GraphDigest(g), h, p, directEff)
+	key := artifactKey("sizing", c.traceDigest(tr), GraphDigest(g), h, p, directEff)
 	v, err := c.Do(ctx, key, func() (any, error) {
 		pats, err := c.Patterns(ctx, tr, g, directEff)
 		if err != nil {
@@ -99,7 +128,7 @@ type SampleSet struct {
 // Samples returns the clairvoyant DP teacher's supervised samples over the
 // training trace (§4.2) — the expensive half of offline training.
 func (c *Cache) Samples(ctx context.Context, pc core.PlanConfig, tr *solar.Trace) (*SampleSet, error) {
-	key := artifactKey("samples", planConfigParts(pc), TraceDigest(tr))
+	key := artifactKey("samples", planConfigParts(pc), c.traceDigest(tr))
 	v, err := c.Do(ctx, key, func() (any, error) {
 		inputs, targets, err := core.CollectSamples(pc, tr)
 		if err != nil {
@@ -118,7 +147,7 @@ func (c *Cache) Samples(ctx context.Context, pc core.PlanConfig, tr *solar.Trace
 // shared; callers must not mutate it (NewProposed never does — inference
 // allocates fresh vectors).
 func (c *Cache) Network(ctx context.Context, pc core.PlanConfig, tr *solar.Trace, opt core.TrainOptions) (*ann.Network, error) {
-	key := artifactKey("dbn", planConfigParts(pc), TraceDigest(tr), opt)
+	key := artifactKey("dbn", planConfigParts(pc), c.traceDigest(tr), opt)
 	v, err := c.Do(ctx, key, func() (any, error) {
 		samples, err := c.Samples(ctx, pc, tr)
 		if err != nil {
@@ -144,7 +173,7 @@ type PlanArtifact struct {
 // core.NewOptimalFromPlan, which builds a private LUT per scheduler
 // instance (core.LUT is not safe to share across runs).
 func (c *Cache) Plan(ctx context.Context, pc core.PlanConfig, tr *solar.Trace) (*PlanArtifact, error) {
-	key := artifactKey("plan", planConfigParts(pc), TraceDigest(tr))
+	key := artifactKey("plan", planConfigParts(pc), c.traceDigest(tr))
 	v, err := c.Do(ctx, key, func() (any, error) {
 		plan, entries, err := core.PlanTrace(pc, tr)
 		if err != nil {

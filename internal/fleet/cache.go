@@ -31,6 +31,12 @@ type Cache struct {
 
 	hits, misses atomic.Int64
 
+	// traceDigests memoizes TraceDigest for every trace the cache handed
+	// out (*solar.Trace → *traceDigestMemo). Cached values are immutable
+	// by contract, so a handed-out trace's digest never changes; any
+	// other trace is hashed on every key (see traceDigest).
+	traceDigests sync.Map
+
 	// Durable layer (nil for a memory-only cache; see NewDurableCache).
 	persist              Persister
 	codecs               map[string]Codec

@@ -37,8 +37,14 @@ func artifactKey(kind string, parts ...any) string {
 	return kind + ":" + hex.EncodeToString(h.Sum(nil))
 }
 
+// traceDigestBlock is how many bytes of slot powers TraceDigest hands the
+// hash per Write.
+const traceDigestBlock = 4096
+
 // TraceDigest identifies a solar trace by its time base and exact per-slot
-// powers (raw float64 bits, mirroring sim.Engine.ConfigDigest).
+// powers (raw float64 bits, mirroring sim.Engine.ConfigDigest). The powers
+// are hashed in blocks of traceDigestBlock bytes; the hashed byte stream,
+// and so the digest, is the same as one 8-byte write per slot.
 func TraceDigest(tr *solar.Trace) string {
 	h := sha256.New()
 	b, err := json.Marshal(tr.Base)
@@ -47,11 +53,15 @@ func TraceDigest(tr *solar.Trace) string {
 	}
 	h.Write(b)
 	h.Write([]byte{'\n'})
-	var buf [8]byte
+	buf := make([]byte, 0, traceDigestBlock)
 	for _, p := range tr.Power {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
-		h.Write(buf[:])
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

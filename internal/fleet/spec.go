@@ -301,7 +301,7 @@ func (ts TraceSpec) evalTrace(ctx context.Context, c *Cache) (*solar.Trace, erro
 		if err != nil {
 			return nil, err
 		}
-		return v.(*solar.Trace), nil
+		return c.handOut(v.(*solar.Trace)), nil
 	default:
 		return nil, fmt.Errorf("fleet: unknown trace kind %q", ts.Kind)
 	}

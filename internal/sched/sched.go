@@ -208,18 +208,19 @@ func (s *InterLSA) BeginPeriod(v *sim.PeriodView) sim.PeriodPlan {
 			budget -= cost
 		}
 	}
-	allowed := append([]bool(nil), s.admitted...)
 	if s.mAdmitted != nil {
 		in := 0
-		for _, a := range allowed {
+		for _, a := range s.admitted {
 			if a {
 				in++
 			}
 		}
 		s.mAdmitted.Add(float64(in))
-		s.mRejected.Add(float64(len(allowed) - in))
+		s.mRejected.Add(float64(len(s.admitted) - in))
 	}
-	return sim.PeriodPlan{SwitchTo: -1, Allowed: allowed}
+	// The admission mask itself is the plan's Allowed: nothing rewrites
+	// it before the next BeginPeriod.
+	return sim.PeriodPlan{SwitchTo: -1, Allowed: s.admitted}
 }
 
 // Slot implements sim.Scheduler: urgent admitted tasks first (they may draw

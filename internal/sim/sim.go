@@ -29,11 +29,16 @@ const DefaultDirectEff = 0.95
 // PeriodView is what a scheduler sees at the beginning of each period: the
 // clock, the capacitor bank voltages, the harvest of the period that just
 // ended and the accumulated DMR — exactly the online inputs of the paper's
-// ANN (§5.1).
+// ANN (§5.1). The engine reuses one PeriodView for the whole run, so a
+// scheduler must not keep v.
 type PeriodView struct {
-	Day, Period      int
-	Base             solar.TimeBase
-	Graph            *task.Graph
+	Day, Period int
+	Base        solar.TimeBase
+	Graph       *task.Graph
+	// Bank is the bank as the node's sensors report it. Under sensor
+	// faults it is the fault injector's observation, refreshed in place
+	// at the next observation (the next slot): read it during
+	// BeginPeriod, never keep or modify it.
 	Bank             *supercap.Bank
 	LastPeriodEnergy float64 // J harvested during the previous period
 	AccumulatedDMR   float64 // paper's DMR^acc over all completed periods
@@ -50,6 +55,9 @@ type PeriodPlan struct {
 	// the new one through both regulators when switching.
 	Migrate bool
 	// Allowed masks the tasks the scheduler will execute this period.
+	// The engine reads it at every slot of the period, so it must stay
+	// unchanged until the period ends; it may be the scheduler's own
+	// buffer, rewritten by its next BeginPeriod.
 	Allowed []bool
 }
 
@@ -67,6 +75,9 @@ type SlotView struct {
 	// (PeriodSim, RunPeriodOnCap), whose policies must not read the store:
 	// a PeriodTrace replays a period's task trajectory on other
 	// capacitors, which holds only while the policy ignores the store.
+	// Under sensor faults Cap and Bank are the fault injector's
+	// observation, refreshed in place at the next observation: valid
+	// until the next Slot call, like the view itself.
 	Cap       *supercap.Capacitor
 	Bank      *supercap.Bank // nil inside planner-local simulations
 	Tasks     *nvp.Set
@@ -384,6 +395,7 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 
 	var step slotStep
 	sv := &step.view
+	pv := new(PeriodView) // the run's one PeriodView, reset every period
 	var speedsFor func(run []int) []float64
 	if ss, ok := s.(SpeedScheduler); ok {
 		speedsFor = func(run []int) []float64 { return ss.Speeds(sv, run) }
@@ -428,7 +440,7 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 			inj.AgeDay(bank)
 		}
 		periodSpan := daySpan.Child("period")
-		pv := &PeriodView{
+		*pv = PeriodView{
 			Day: day, Period: period, Base: tb,
 			Graph: e.cfg.Graph, Bank: inj.ObserveBank(bank),
 			LastPeriodEnergy: lastEnergy,

@@ -132,11 +132,11 @@ func (f *FaultFS) CreateTemp(dir, pattern string) (atomicio.File, error) {
 	return &faultFile{File: file, fs: f}, nil
 }
 
-func (f *FaultFS) WriteFileExcl(name string, data []byte, perm os.FileMode) error {
+func (f *FaultFS) TryLock(name string, data []byte, perm os.FileMode) (func(), error) {
 	if f.draw(f.write, f.cfg.WriteErr, &f.injected.writes) {
-		return fmt.Errorf("%w: write %s", ErrInjected, name)
+		return nil, fmt.Errorf("%w: write %s", ErrInjected, name)
 	}
-	return f.inner.WriteFileExcl(name, data, perm)
+	return f.inner.TryLock(name, data, perm)
 }
 
 func (f *FaultFS) Remove(name string) error                    { return f.inner.Remove(name) }

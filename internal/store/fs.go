@@ -27,9 +27,13 @@ type FS interface {
 	// Chtimes updates a file's access and modification times (the store's
 	// LRU clock for GC).
 	Chtimes(name string, atime, mtime time.Time) error
-	// WriteFileExcl creates name with O_EXCL and writes data — the lock
-	// acquisition primitive. It must fail if name already exists.
-	WriteFileExcl(name string, data []byte, perm os.FileMode) error
+	// TryLock takes an exclusive lock on the file name without waiting,
+	// creating the file if needed, and writes data into it for
+	// diagnostics. While held, the file exists under name; release
+	// removes it and drops the lock. A lock whose holder died is free
+	// again, whatever file it left behind. An error wrapping ErrLocked
+	// means another holder has it.
+	TryLock(name string, data []byte, perm os.FileMode) (release func(), err error)
 }
 
 // osFS is the real filesystem.
@@ -47,18 +51,6 @@ func (osFS) MkdirAll(dir string, perm os.FileMode) error { return os.MkdirAll(di
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error)  { return os.ReadDir(name) }
 func (osFS) Stat(name string) (fs.FileInfo, error)       { return os.Stat(name) }
 func (osFS) Chtimes(name string, a, m time.Time) error   { return os.Chtimes(name, a, m) }
-func (osFS) WriteFileExcl(name string, data []byte, perm os.FileMode) error {
-	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, perm)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(name)
-		return err
-	}
-	return f.Close()
-}
 
 // OS is the real filesystem as a store FS.
 var OS FS = osFS{}

@@ -10,32 +10,32 @@ import (
 	"time"
 )
 
-// plantStaleLock writes a lock file and backdates it past LockStale.
+// plantStaleLock leaves a lock file behind the way a holder that died
+// mid-maintenance an hour ago would: written, never removed, and held by
+// no live descriptor.
 func plantStaleLock(t *testing.T, s *Store) {
 	t.Helper()
 	data, _ := json.Marshal(lockInfo{PID: -1, AtUnixMS: time.Now().Add(-time.Hour).UnixMilli()})
-	if err := s.fsys.WriteFileExcl(s.lockPath(), data, 0o644); err != nil {
+	if err := os.WriteFile(s.lockPath(), data, 0o644); err != nil {
 		t.Fatalf("planting stale lock: %v", err)
 	}
 	old := time.Now().Add(-time.Hour)
-	if err := s.fsys.Chtimes(s.lockPath(), old, old); err != nil {
+	if err := os.Chtimes(s.lockPath(), old, old); err != nil {
 		t.Fatalf("backdating stale lock: %v", err)
 	}
 }
 
-// TestLockStaleBreakRace is the regression for the Remove-based stale
-// break: when several processes race to break the same stale lock, at
-// most one may end up holding it. The old code broke the lock with
-// Remove(lockPath), so a slow breaker could delete the fresh lock a
-// fast breaker had just created, after which a third contender would
-// acquire too — two simultaneous holders. With the rename-based break
-// the corpse can only be moved aside once, so every round below must
+// TestLockStaleBreakRace: when several processes race for a maintenance
+// lock whose file a dead holder left behind, at most one may end up
+// holding it. The file-based lock this replaced had no compare-and-delete:
+// a slow breaker could move a fresh lock aside and put its stale copy back
+// over a third contender's, leaving two holders. Every round below must
 // elect at most one winner, and the lock file must exist the whole time
 // a winner holds it.
 func TestLockStaleBreakRace(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	s, err := Open(dir, Options{LockStale: time.Minute})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,18 +83,18 @@ func TestLockStaleBreakRace(t *testing.T) {
 			}
 			releases[0]()
 		}
-		// Whether broken-and-held or broken-and-lost, the stale corpse
-		// must be gone so the next round starts clean.
+		// Release removed the lock file; clear it anyway, so the next
+		// round starts clean even if no one won.
 		_ = os.Remove(filepath.Join(dir, "maintenance.lock"))
 	}
 }
 
-// TestLockStaleBreakLeavesNoCorpse checks the break path cleans up the
-// renamed-aside stale lock file.
+// TestLockStaleBreakLeavesNoCorpse checks that taking over a dead
+// holder's lock file leaves nothing behind once released.
 func TestLockStaleBreakLeavesNoCorpse(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	s, err := Open(dir, Options{LockStale: time.Minute})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,11 @@
 // payload, and are verified on every read. An entry that fails
 // verification is never served and never fatal: it is atomically moved to
 // quarantine/, counted, and the caller rebuilds it. Maintenance
-// (orphan-temp sweeps, full verification, GC) runs under a lock file with
-// stale-lock breaking so multiple processes can share one store
-// directory. The whole stack runs on an injectable filesystem (FS), with
-// a deterministic fault shim (FaultFS) for chaos tests.
+// (orphan-temp sweeps, full verification, GC) runs under a kernel
+// advisory lock on a lock file, so multiple processes can share one store
+// directory and a crashed holder never leaves the store locked. The whole
+// stack runs on an injectable filesystem (FS), with a deterministic fault
+// shim (FaultFS) for chaos tests.
 //
 // Layout under the store directory:
 //
@@ -56,9 +57,9 @@ var (
 	// truncated envelope, digest mismatch, key mismatch. The entry has
 	// already been quarantined when this is returned; callers rebuild.
 	ErrCorruptArtifact = errors.New("store: corrupt artifact")
-	// ErrLocked means another process holds the maintenance lock (and it
-	// is not stale). Maintenance is skippable; callers typically retry
-	// later or proceed without it.
+	// ErrLocked means another process holds the maintenance lock.
+	// Maintenance is skippable; callers typically retry later or proceed
+	// without it.
 	ErrLocked = errors.New("store: maintenance lock held")
 )
 
@@ -74,9 +75,6 @@ type Options struct {
 	// MaxAge evicts entries not read for longer than this during GC;
 	// 0 disables age-based eviction.
 	MaxAge time.Duration
-	// LockStale is the age past which a maintenance lock left by a dead
-	// process is broken; 0 means 5 minutes.
-	LockStale time.Duration
 }
 
 // Store is a disk-backed content-addressed artifact store. All methods
@@ -118,9 +116,6 @@ type Stats struct {
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.FS == nil {
 		opts.FS = OS
-	}
-	if opts.LockStale <= 0 {
-		opts.LockStale = 5 * time.Minute
 	}
 	reg := opts.Registry
 	s := &Store{
@@ -613,61 +608,24 @@ func (s *Store) GC() (GCStats, error) {
 	return gs, nil
 }
 
-// lockInfo is the maintenance lock's content, for diagnostics and stale
-// detection by readers that want more than the mtime.
+// lockInfo is the maintenance lock's content, for diagnostics: who holds
+// it, since when.
 type lockInfo struct {
 	PID      int    `json:"pid"`
 	AtUnixMS int64  `json:"at_unix_ms"`
 	Host     string `json:"host,omitempty"`
 }
 
-// acquireLock takes the maintenance lock, breaking a stale one (older
-// than LockStale — its holder crashed mid-maintenance) exactly once.
-// Returns ErrLocked when a live process holds it.
-//
-// Breaking is done by renaming the stale lock aside, never by removing
-// it in place: rename has atomic loser-detection (the second breaker's
-// rename fails with ENOENT), so two processes racing to break the same
-// stale lock cannot end up each believing they hold it. The vacated
-// path is then re-contended with the O_EXCL create, which admits
-// exactly one winner.
+// acquireLock takes the maintenance lock (see FS.TryLock), or returns an
+// error wrapping ErrLocked when another holder has it. The lock lives
+// exactly as long as its holder: the kernel releases it when the holder's
+// process dies, so a lock file left by a crash never blocks maintenance.
 func (s *Store) acquireLock() (release func(), err error) {
 	host, _ := os.Hostname()
 	data, _ := json.Marshal(lockInfo{PID: os.Getpid(), AtUnixMS: time.Now().UnixMilli(), Host: host})
-	for attempt := 0; ; attempt++ {
-		err := s.fsys.WriteFileExcl(s.lockPath(), data, 0o644)
-		if err == nil {
-			return func() { _ = s.fsys.Remove(s.lockPath()) }, nil
-		}
-		if !errors.Is(err, fs.ErrExist) {
-			return nil, fmt.Errorf("store: acquiring maintenance lock: %w", err)
-		}
-		if attempt > 1 {
-			return nil, fmt.Errorf("%w: %s", ErrLocked, s.lockPath())
-		}
-		info, serr := s.fsys.Stat(s.lockPath())
-		if serr != nil {
-			// The holder released between our create and stat; retry.
-			continue
-		}
-		if time.Since(info.ModTime()) < s.opts.LockStale {
-			return nil, fmt.Errorf("%w: %s (held since %s)", ErrLocked, s.lockPath(), info.ModTime().Format(time.RFC3339))
-		}
-		// Stale: the holder died. Move the corpse to a per-breaker name;
-		// only one of several concurrent breakers can win this rename
-		// (the rest see ENOENT and fall through to the O_EXCL create,
-		// which a winner has typically already satisfied).
-		corpse := fmt.Sprintf("%s.broke.%d.%d", s.lockPath(), os.Getpid(), s.seq.Add(1))
-		if rerr := s.fsys.Rename(s.lockPath(), corpse); rerr == nil {
-			// Guard against having stolen a lock that was released and
-			// re-acquired between our Stat and Rename: if the moved file
-			// is fresher than what we observed, put it back and yield.
-			if ci, cerr := s.fsys.Stat(corpse); cerr == nil && time.Since(ci.ModTime()) < s.opts.LockStale {
-				if s.fsys.Rename(corpse, s.lockPath()) == nil {
-					return nil, fmt.Errorf("%w: %s (lock turned live during stale break)", ErrLocked, s.lockPath())
-				}
-			}
-			_ = s.fsys.Remove(corpse)
-		}
+	release, err = s.fsys.TryLock(s.lockPath(), data, 0o644)
+	if err != nil && !errors.Is(err, ErrLocked) {
+		return nil, fmt.Errorf("store: acquiring maintenance lock: %w", err)
 	}
+	return release, err
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -308,25 +309,40 @@ func TestGCAgeBudget(t *testing.T) {
 
 func TestMaintenanceLockStaleBreaking(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{LockStale: 50 * time.Millisecond})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A live lock blocks maintenance.
-	lock := filepath.Join(dir, "maintenance.lock")
-	if err := os.WriteFile(lock, []byte(`{"pid":1}`), 0o644); err != nil {
+	// A live lock blocks maintenance: another handle on the same store
+	// directory holds it, as a second process would.
+	other, err := Open(dir, Options{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	release, err := other.acquireLock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lock := filepath.Join(dir, "maintenance.lock")
+	data, err := os.ReadFile(lock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info lockInfo
+	if err := json.Unmarshal(data, &info); err != nil || info.PID != os.Getpid() {
+		t.Fatalf("lock file holds %q (%v), want this process's lockInfo", data, err)
 	}
 	if _, err := s.Verify(); !errors.Is(err, ErrLocked) {
 		t.Fatalf("Verify under live lock: err = %v, want ErrLocked", err)
 	}
-	// A stale lock (older than LockStale) is broken and maintenance runs.
-	old := time.Now().Add(-time.Minute)
-	if err := os.Chtimes(lock, old, old); err != nil {
+	release()
+	// A lock file its holder left behind when it died holds no lock:
+	// maintenance runs, and the file is gone afterwards.
+	if err := os.WriteFile(lock, []byte(`{"pid":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Verify(); err != nil {
-		t.Fatalf("Verify did not break stale lock: %v", err)
+		t.Fatalf("Verify blocked by a dead holder's lock file: %v", err)
 	}
 	if _, err := os.Stat(lock); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("lock file survived maintenance")

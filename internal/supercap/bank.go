@@ -124,10 +124,23 @@ func (b *Bank) Voltages() []float64 {
 }
 
 // Clone returns a deep copy of the bank (for planners).
-func (b *Bank) Clone() *Bank {
-	out := &Bank{Caps: make([]*Capacitor, len(b.Caps)), active: b.active}
-	for i, c := range b.Caps {
-		out.Caps[i] = c.Clone()
+func (b *Bank) Clone() *Bank { return b.CopyInto(nil) }
+
+// CopyInto makes dst a deep copy of the bank — the active index and every
+// capacitor's fields, curve memo included — and returns it. It allocates
+// only when dst is nil or holds a different number of capacitors; a
+// destination of the right size is overwritten in place, so a caller that
+// refreshes the same copy every slot allocates nothing.
+func (b *Bank) CopyInto(dst *Bank) *Bank {
+	if dst == nil || len(dst.Caps) != len(b.Caps) {
+		dst = &Bank{Caps: make([]*Capacitor, len(b.Caps))}
+		for i := range dst.Caps {
+			dst.Caps[i] = new(Capacitor)
+		}
 	}
-	return out
+	dst.active = b.active
+	for i, c := range b.Caps {
+		*dst.Caps[i] = *c
+	}
+	return dst
 }

@@ -275,3 +275,38 @@ func TestBankCloneIndependent(t *testing.T) {
 		t.Fatal("Clone shares capacitor state")
 	}
 }
+
+func TestBankCopyIntoReusesDestination(t *testing.T) {
+	b := MustNewBank([]float64{2, 10, 50}, DefaultParams())
+	b.Caps[1].Charge(5)
+	b.Caps[2].Age(Aging{CapFade: 0.01, LeakGrowth: 0.02, EffFade: 0.01})
+	b.SwitchTo(2)
+	dst := b.CopyInto(nil)
+	caps := append([]*Capacitor(nil), dst.Caps...)
+	b.Caps[0].Charge(1)
+	b.SwitchTo(1)
+	if got := b.CopyInto(dst); got != dst {
+		t.Fatal("CopyInto replaced a destination of the right size")
+	}
+	for i, c := range dst.Caps {
+		if c != caps[i] {
+			t.Fatalf("CopyInto replaced capacitor %d", i)
+		}
+		if *c != *b.Caps[i] {
+			t.Fatalf("capacitor %d = %+v, want %+v", i, *c, *b.Caps[i])
+		}
+	}
+	if dst.ActiveIndex() != 1 {
+		t.Fatalf("active = %d, want 1", dst.ActiveIndex())
+	}
+	dst.Active().Discharge(1e9)
+	if b.Active().UsableEnergy() <= 0 {
+		t.Fatal("CopyInto shares capacitor state")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { b.CopyInto(dst) }); allocs != 0 {
+		t.Fatalf("CopyInto into a destination of the right size allocates %.0f times", allocs)
+	}
+	if small := MustNewBank([]float64{1}, DefaultParams()); b.CopyInto(small) == small {
+		t.Fatal("CopyInto kept a destination of the wrong size")
+	}
+}

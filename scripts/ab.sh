@@ -7,7 +7,7 @@
 # Defaults: --workload offline_cold --pairs 10 --seconds 45 --seed0 1.
 #
 # The base revision is exported (git archive) into a temporary directory,
-# removed on exit. Both sides must hold the same benchmark/ and
+# removed on exit; it shares the working tree's Go build cache. Both sides must hold the same benchmark/ and
 # BENCHMARK.json, so that both run the same benchmark code; otherwise the
 # script refuses to run. Pair k runs seed K+k on both sides, each side
 # building and running its own `python3 benchmark/run.py`; the side that
@@ -68,6 +68,11 @@ tmp=$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/base" "$tmp/runs"
 git archive "$base" | tar -x -C "$tmp/base"
+# run.py keeps GOCACHE under each tree's .bench_build/. Go's build cache is
+# safe to share between trees, so the base side reuses the working tree's
+# instead of building from an empty one.
+mkdir -p "$root/.bench_build/cache" "$tmp/base/.bench_build"
+ln -s "$root/.bench_build/cache" "$tmp/base/.bench_build/cache"
 
 failed=0
 for ((k = 0; k < pairs; k++)); do
