@@ -17,9 +17,9 @@ import (
 // the snapshot, and optionally gate against a committed baseline. Exit
 // status 0 means no regression beyond the threshold; 1 means at least
 // one benchmark got slower (or the run itself failed); 2 is a usage
-// error. This is the command CI's bench-trajectory job runs and the
-// command scripts/bench_trajectory.sh wraps to append BENCH_NNNN.json
-// trajectory points.
+// error. It writes the BENCH_NNNN.json snapshots; speed claims are
+// settled by paired runs of the repository benchmark (scripts/ab.sh),
+// not by comparing a snapshot with one taken on another host.
 func runBench(args []string) int {
 	fs := flag.NewFlagSet("solarsched bench", flag.ExitOnError)
 	baseline := fs.String("baseline", "", "committed BENCH_*.json to diff against (empty: no gate)")

@@ -98,9 +98,11 @@ func (r *RBM) cd1(sc *cdScratch, v0 mat.Vector, lr float64, src *rng.Source) {
 // rounded as mat.Matrix.AddOuterScaled rounds it and behind the same
 // zero-skip, so m ends bit-identical to the two AddOuterScaled calls.
 func addOuter2(m *mat.Matrix, s1 float64, u1, w1 mat.Vector, s2 float64, u2, w2 mat.Vector) {
+	c := m.Cols
+	w1, w2 = w1[:c], w2[:c]
 	for i := 0; i < m.Rows; i++ {
 		a, b := s1*u1[i], s2*u2[i]
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		row := m.Data[i*c:][:c]
 		switch {
 		case a != 0 && b != 0:
 			for j, x := range row {

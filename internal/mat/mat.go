@@ -213,14 +213,37 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // MulVec computes dst = m · v, allocating dst when nil. It returns dst.
+//
+// Rows are taken four at a time, each with its own accumulator summed in
+// ascending column order, so every dst[i] is bit-identical to the one-row
+// dot product; the four dependency chains overlap in the pipeline instead
+// of each add waiting on the one before. Leftover rows take the one-row
+// loop.
 func (m *Matrix) MulVec(v Vector, dst Vector) Vector {
 	mustLen(len(v), m.Cols, "Matrix.MulVec input")
 	if dst == nil {
 		dst = NewVector(m.Rows)
 	}
 	mustLen(len(dst), m.Rows, "Matrix.MulVec output")
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+	c := m.Cols
+	v = v[:c]
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0 := m.Data[i*c:][:c]
+		r1 := m.Data[(i+1)*c:][:c]
+		r2 := m.Data[(i+2)*c:][:c]
+		r3 := m.Data[(i+3)*c:][:c]
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		for j, x := range v {
+			s0 += r0[j] * x
+			s1 += r1[j] * x
+			s2 += r2[j] * x
+			s3 += r3[j] * x
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
+		row := m.Data[i*c:][:c]
 		sum := 0.0
 		for j, x := range row {
 			sum += x * v[j]
@@ -259,8 +282,10 @@ func (m *Matrix) MulVecT(v Vector, dst Vector) Vector {
 // m.MulVecT(v, dst) followed by m.AddOuterScaled(s, v, w): both kernels
 // walk the rows in ascending order, each element of m is read for the
 // product before the update writes it, and the kernels' zero-skips are
-// kept (v[i] == 0 skips row i's product, s·v[i] == 0 its update). dst must
-// not alias v or w.
+// kept (v[i] == 0 skips row i's product, s·v[i] == 0 its update). Two
+// neighbouring rows that both take the product and the update share one
+// pass, dst[j] adding row i's term before row i+1's; a row with a skip
+// goes through the one-row path. dst must not alias v or w.
 func (m *Matrix) MulVecTAddOuter(v Vector, s float64, w, dst Vector) Vector {
 	mustLen(len(v), m.Rows, "Matrix.MulVecTAddOuter input")
 	mustLen(len(w), m.Cols, "Matrix.MulVecTAddOuter outer")
@@ -268,13 +293,31 @@ func (m *Matrix) MulVecTAddOuter(v Vector, s float64, w, dst Vector) Vector {
 		dst = NewVector(m.Cols)
 	}
 	mustLen(len(dst), m.Cols, "Matrix.MulVecTAddOuter output")
+	c := m.Cols
+	dst, w = dst[:c], w[:c]
 	for j := range dst {
 		dst[j] = 0
 	}
 	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		row := m.Data[i*c:][:c]
 		vi := v[i]
 		sv := s * vi
+		if vi != 0 && sv != 0 && i+1 < m.Rows {
+			if vk, sk := v[i+1], s*v[i+1]; vk != 0 && sk != 0 {
+				next := m.Data[(i+1)*c:][:c]
+				for j, x := range row {
+					y := next[j]
+					d := dst[j]
+					d += x * vi
+					d += y * vk
+					dst[j] = d
+					row[j] = x + sv*w[j]
+					next[j] = y + sk*w[j]
+				}
+				i++
+				continue
+			}
+		}
 		switch {
 		case vi != 0 && sv != 0:
 			for j, x := range row {
@@ -378,14 +421,16 @@ func (m *Matrix) MulMatT(b, dst *Matrix) *Matrix {
 func (m *Matrix) AddOuterScaled(s float64, u, w Vector) *Matrix {
 	mustLen(len(u), m.Rows, "AddOuterScaled rows")
 	mustLen(len(w), m.Cols, "AddOuterScaled cols")
+	c := m.Cols
+	w = w[:c]
 	for i := 0; i < m.Rows; i++ {
 		su := s * u[i]
 		if su == 0 {
 			continue
 		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j := range row {
-			row[j] += su * w[j]
+		row := m.Data[i*c:][:c]
+		for j, x := range w {
+			row[j] += su * x
 		}
 	}
 	return m

@@ -6,6 +6,12 @@
 // §3.1. The Set type maintains the paper's S'_{i,j,m}(n) remaining-time
 // variables, dependence readiness, one-task-per-NVP exclusivity and
 // deadline-miss bookkeeping (the θ step function of eq. (5)).
+//
+// Readiness is a mask test: for graphs of up to task.MaskTasks tasks the
+// set keeps a bit mask of the tasks with work remaining, so "every
+// predecessor has finished" is one AND of that mask with the task's
+// predecessor mask (task.Graph.PredMasks). Larger graphs walk the
+// predecessor list.
 package nvp
 
 import (
@@ -22,6 +28,12 @@ type Set struct {
 
 	remaining []float64 // S'_n, seconds of execution left
 	missed    []bool    // θ fired: deadline passed with work remaining
+
+	// pending has bit n set while remaining[n] > 0; predMask is the
+	// graph's PredMasks, nil above task.MaskTasks tasks (pending then
+	// goes unread).
+	pending  uint64
+	predMask []uint64
 
 	// Scratch the per-slot calls reuse, so stepping a period allocates
 	// nothing: FilterRunnable's NVP occupancy and result, and
@@ -54,13 +66,34 @@ func NewSet(g *task.Graph) (*Set, error) {
 
 // newSet returns a set over the given state slices with fresh scratch.
 func newSet(g *task.Graph, remaining []float64, missed []bool) *Set {
-	return &Set{
+	s := &Set{
 		G:         g,
 		remaining: remaining,
 		missed:    missed,
+		predMask:  g.PredMasks(),
 		busy:      make([]bool, g.NumNVPs),
 		runnable:  make([]int, 0, g.N()),
 		newly:     make([]int, 0, g.N()),
+	}
+	s.trackAll()
+	return s
+}
+
+// track sets task n's pending bit from its remaining time. Shifting by 64
+// or more gives 0, so tasks beyond the mask leave pending alone.
+func (s *Set) track(n int) {
+	if s.remaining[n] > 0 {
+		s.pending |= 1 << n
+	} else {
+		s.pending &^= 1 << n
+	}
+}
+
+// trackAll rebuilds pending from every remaining time.
+func (s *Set) trackAll() {
+	s.pending = 0
+	for n := range s.remaining {
+		s.track(n)
 	}
 }
 
@@ -82,6 +115,7 @@ func (s *Set) ResetPeriod() {
 		s.remaining[i] = t.ExecTime
 		s.missed[i] = false
 	}
+	s.trackAll()
 }
 
 // Remaining returns S'_n for task n.
@@ -100,6 +134,15 @@ func (s *Set) Ready(n int) bool {
 	if s.remaining[n] <= 0 || s.missed[n] {
 		return false
 	}
+	if s.predMask == nil {
+		return s.predecessorsDone(n)
+	}
+	return s.predMask[n]&s.pending == 0
+}
+
+// predecessorsDone is Ready's predecessor test for graphs above the mask
+// size.
+func (s *Set) predecessorsDone(n int) bool {
 	for _, p := range s.G.Predecessors(n) {
 		if s.remaining[p] > 0 {
 			return false
@@ -146,6 +189,7 @@ func (s *Set) Run(selected []int, dt float64) (loadPower float64) {
 		if s.remaining[n] < 0 {
 			s.remaining[n] = 0
 		}
+		s.track(n)
 		loadPower += s.G.Tasks[n].Power
 	}
 	return loadPower
@@ -168,6 +212,7 @@ func (s *Set) RunScaled(selected []int, speeds []float64, powerExp, dt float64) 
 		if s.remaining[n] < 0 {
 			s.remaining[n] = 0
 		}
+		s.track(n)
 		loadPower += s.G.Tasks[n].Power * pow(f, powerExp)
 	}
 	return loadPower

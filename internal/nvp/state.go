@@ -28,5 +28,6 @@ func (s *Set) Restore(st State) error {
 	}
 	copy(s.remaining, st.Remaining)
 	copy(s.missed, st.Missed)
+	s.trackAll()
 	return nil
 }

@@ -10,9 +10,10 @@ import (
 	"solarsched/internal/task"
 )
 
-// cheapestFirstReference is CheapestFirstPolicy as two stable sorts: by
-// remaining energy then D', then urgent ready tasks to the front. The
-// single-pass policy must return the same order.
+// cheapestFirstReference is CheapestFirstPolicy as two stable sorts of
+// every task: by remaining energy then D', then urgent ready tasks to the
+// front. The single-pass policy must return the reference's ready tasks,
+// in the reference's order.
 func cheapestFirstReference(g *task.Graph) sim.SlotPolicy {
 	eff := EffectiveDeadlines(g)
 	return func(v *sim.SlotView) []int {
@@ -89,8 +90,18 @@ func TestCheapestFirstPolicyMatchesTwoPassReference(t *testing.T) {
 			v := &sim.SlotView{Slot: r.Intn(tb.SlotsPerPeriod), Base: tb, Tasks: ts}
 			a, b := got(v), want(v)
 			states++
-			if !equalInts(a, b) {
-				t.Fatalf("graph %d state %d: order %v, reference %v", gi, k, a, b)
+			var ready []int
+			for _, n := range b {
+				if ts.Ready(n) {
+					ready = append(ready, n)
+				}
+			}
+			if !equalInts(a, ready) {
+				t.Fatalf("graph %d state %d: order %v, reference's ready tasks %v (of %v)", gi, k, a, ready, b)
+			}
+			runA := append([]int(nil), ts.FilterRunnable(a)...)
+			if runB := ts.FilterRunnable(b); !equalInts(runA, runB) {
+				t.Fatalf("graph %d state %d: runnable %v, reference's %v", gi, k, runA, runB)
 			}
 			for i := 1; i < len(b); i++ {
 				p, q := b[i-1], b[i]

@@ -375,22 +375,30 @@ func EDFPolicy(g *task.Graph) sim.SlotPolicy {
 // number of deadlines met. Urgent ready tasks jump the queue; ties fall to
 // the earlier effective deadline D', then to the lower task index. The
 // proposed scheduler's planner uses it for night periods.
+//
+// The list holds the ready tasks only: the engine filters a slot's list
+// for readiness anyway, and a stable sort of the ready tasks leaves them
+// in the relative order a sort of every task gives them, so the runnable
+// list is the same.
 func CheapestFirstPolicy(g *task.Graph) sim.SlotPolicy {
 	eff := EffectiveDeadlines(g)
-	order := make([]int, g.N())
+	order := make([]int, 0, g.N())
 	keys := make([]cheapKey, g.N())
 	return func(v *sim.SlotView) []int {
+		order = order[:0]
 		for n := range keys {
+			if !v.Tasks.Ready(n) {
+				continue
+			}
 			keys[n] = cheapKey{
-				urgent: v.Tasks.Ready(n) && urgent(v, n, eff),
+				urgent: urgent(v, n, eff),
 				cost:   v.Tasks.Remaining(n) * g.Tasks[n].Power,
 				eff:    eff[n],
 			}
-		}
-		// Stable insertion sort: task n moves only past strictly later
-		// keys, so equal keys stay in index order.
-		for n := range order {
-			j := n
+			// Stable insertion sort: task n moves only past strictly
+			// later keys, so equal keys stay in index order.
+			order = append(order, n)
+			j := len(order) - 1
 			for ; j > 0 && keys[n].before(keys[order[j-1]]); j-- {
 				order[j] = order[j-1]
 			}

@@ -600,6 +600,11 @@ type slotStep struct {
 	speeds  []float64 // execDVFS's clamped speeds
 }
 
+// ranHook, when set, sees every slot's runnable list after the brown-out
+// trim and before the NVPs run it. It is nil except in tests, which check
+// the paper's constraints (7) and (9) on every executed slot through it.
+var ranHook func(ts *nvp.Set, ran []int)
+
 // exec executes order under the period's allowed mask (nil permits every
 // task) on cap and ts.
 func (st *slotStep) exec(cap *supercap.Capacitor, ts *nvp.Set, order []int, allowed []bool,
@@ -619,6 +624,9 @@ func (st *slotStep) run(cap *supercap.Capacitor, ts *nvp.Set, run []int,
 	st.loads = loads
 	k := carried(cap, loads, solarW*directEff, dt)
 	stats := SlotStats{Ran: run[:k], Trimmed: len(run) - k}
+	if ranHook != nil {
+		ranHook(ts, stats.Ran)
+	}
 	stats.LoadPower = ts.Run(stats.Ran, dt)
 	settleEnergy(cap, &stats, solarW, dt, directEff)
 	return stats
@@ -646,10 +654,15 @@ func (st *slotStep) filterAllowed(order []int, allowed []bool) []int {
 // capacitor's deliverable energy carry the rest. loads[m] is the load (W)
 // of the list's first m tasks, summed in list order from loads[0] = 0 —
 // the same float nvp.Set.Run returns for those m tasks.
+//
+// When the direct channel alone carries the whole list, the store is not
+// consulted: Deliverable is never negative for a finite capacitor state,
+// so the full list passes the check whatever it returns, and a surplus
+// slot pays no η_dis evaluation.
 func carried(cap *supercap.Capacitor, loads []float64, directCap, dt float64) int {
 	m := len(loads) - 1
-	if m == 0 {
-		return 0
+	if m == 0 || (loads[m]-directCap)*dt <= 0 {
+		return m
 	}
 	deliverable := cap.Deliverable() + 1e-12
 	for ; m > 0; m-- {
@@ -719,6 +732,9 @@ func (st *slotStep) execDVFS(cap *supercap.Capacitor, ts *nvp.Set, order []int, 
 	st.speeds, st.loads = clamped, loads
 	k := carried(cap, loads, solarW*directEff, dt)
 	stats := SlotStats{Ran: run[:k], Trimmed: len(run) - k}
+	if ranHook != nil {
+		ranHook(ts, stats.Ran)
+	}
 	stats.LoadPower = ts.RunScaled(stats.Ran, clamped[:k], DVFSPowerExponent, dt)
 	settleEnergy(cap, &stats, solarW, dt, directEff)
 	return stats

@@ -3,6 +3,7 @@ package solar
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -200,6 +201,24 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadCSV(bytes.NewBufferString("# days=1 periods=1 slots=1 slot_seconds=60\nday,period,slot,power_w\n9,0,0,1\n")); err == nil {
 		t.Fatal("out-of-range row accepted")
+	}
+}
+
+func TestReadCSVRejectsNonFiniteAndNegativePower(t *testing.T) {
+	const head = "# days=1 periods=1 slots=2 slot_seconds=60\nday,period,slot,power_w\n0,0,0,0.25\n"
+	for _, v := range []string{"NaN", "nan", "+Inf", "-Inf", "Inf", "1e400", "-0.5", "-1e-300"} {
+		_, err := ReadCSV(bytes.NewBufferString(head + "0,0,1," + v + "\n"))
+		if err == nil {
+			t.Fatalf("power %s accepted", v)
+		}
+		if !strings.Contains(err.Error(), "[0 0 1 "+v+"]") {
+			t.Fatalf("power %s: error %q does not name the row", v, err)
+		}
+	}
+	for _, v := range []string{"0", "-0", "0.5", "4.9e-324"} {
+		if _, err := ReadCSV(bytes.NewBufferString(head + "0,0,1," + v + "\n")); err != nil {
+			t.Fatalf("power %s rejected: %v", v, err)
+		}
 	}
 }
 

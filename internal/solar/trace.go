@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -120,7 +121,8 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCSV reads a trace previously written by WriteCSV.
+// ReadCSV reads a trace previously written by WriteCSV. It rejects a row
+// whose power is NaN, infinite or negative, naming the row.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	header, err := br.ReadString('\n')
@@ -162,6 +164,11 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		}
 		if d < 0 || d >= tb.Days || p < 0 || p >= tb.PeriodsPerDay || s < 0 || s >= tb.SlotsPerPeriod {
 			return nil, fmt.Errorf("solar: trace row out of range %v", rec)
+		}
+		// A harvested power is a finite number of watts, never negative:
+		// one NaN slot would carry into every later capacitor state.
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return nil, fmt.Errorf("solar: trace row %v: power %v is not a finite non-negative number", rec, v)
 		}
 		t.Set(d, p, s, v)
 	}

@@ -241,9 +241,15 @@ func (s *Capacitor) Discharge(e float64) (delivered float64) {
 
 // Deliverable returns the output energy (J) the capacitor could deliver
 // right now, i.e. usable energy through the output path at the current
-// voltage. This is what schedulers consult before committing load.
+// voltage. This is what schedulers consult before committing load. An
+// empty store (at or below V_L) delivers +0 without evaluating the
+// regulator curves: for a finite state they are finite, and 0·η·η is +0.
 func (s *Capacitor) Deliverable() float64 {
-	return s.UsableEnergy() * s.etaDis() * s.etaCycle()
+	u := s.UsableEnergy()
+	if u == 0 {
+		return 0
+	}
+	return u * s.etaDis() * s.etaCycle()
 }
 
 // Leak applies self-discharge over dt seconds (the P_leak·Δt term of

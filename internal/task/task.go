@@ -40,9 +40,14 @@ type Graph struct {
 	Edges   []Edge
 	NumNVPs int
 
-	preds [][]int // lazily built predecessor lists
-	succs [][]int
+	preds    [][]int // predecessor lists
+	succs    [][]int
+	predMask []uint64 // predecessors as a bit mask; nil above MaskTasks tasks
 }
+
+// MaskTasks is the largest graph whose predecessor sets PredMask holds:
+// one bit per task in a uint64.
+const MaskTasks = 64
 
 // NewGraph builds a graph and its adjacency indexes. It does not validate;
 // call Validate before use.
@@ -56,10 +61,16 @@ func (g *Graph) buildAdjacency() {
 	n := len(g.Tasks)
 	g.preds = make([][]int, n)
 	g.succs = make([][]int, n)
+	if n <= MaskTasks {
+		g.predMask = make([]uint64, n)
+	}
 	for _, e := range g.Edges {
 		if e.From >= 0 && e.From < n && e.To >= 0 && e.To < n {
 			g.preds[e.To] = append(g.preds[e.To], e.From)
 			g.succs[e.From] = append(g.succs[e.From], e.To)
+			if g.predMask != nil {
+				g.predMask[e.To] |= 1 << e.From
+			}
 		}
 	}
 }
@@ -69,6 +80,12 @@ func (g *Graph) N() int { return len(g.Tasks) }
 
 // Predecessors returns the tasks τ_n with W_{n,l} = 1 for task l.
 func (g *Graph) Predecessors(l int) []int { return g.preds[l] }
+
+// PredMasks returns every task's predecessors as a bit mask: bit n of
+// PredMasks()[l] is set when W_{n,l} = 1. It is nil for a graph of more
+// than MaskTasks tasks. The slice belongs to the graph; callers only read
+// it.
+func (g *Graph) PredMasks() []uint64 { return g.predMask }
 
 // Successors returns the tasks that depend on task n.
 func (g *Graph) Successors(n int) []int { return g.succs[n] }
