@@ -31,7 +31,7 @@ func runBench(args []string) int {
 	loadgenPath := fs.String("loadgen", "", "embed a loadgen -json summary file into the snapshot")
 	loadgenUnbatchedPath := fs.String("loadgen-unbatched", "", "embed the batching-off control loadgen summary next to -loadgen")
 	decideIters := fs.Int("decide-iters", 2000, "decide_once sample count")
-	only := fs.String("only", "", "comma-separated benchmark filter (engine_run,fleet_cold,fleet_warm,decide_once,decide_batch,store_warm_restart,fleet_dist)")
+	only := fs.String("only", "", "comma-separated benchmark filter (engine_run,fleet_cold,decide_once,decide_batch,fleet_dist,shadow_eval)")
 	quiet := fs.Bool("quiet", false, "suppress progress diagnostics")
 	logFormat := fs.String("log-format", obs.LogText, "diagnostic log format: text or json")
 	fs.Usage = func() {

@@ -220,13 +220,28 @@ func BenchmarkForward(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainStep steps one sample through the DBN that core trains for
+// wam on a four-capacitor bank: core.FeatureDim(4) = 13 inputs, the hidden
+// layers of 48 and 24 units of core.DefaultTrainOptions, 4 capacitor
+// classes and wam's 8 tasks (task.WAM). ann cannot import core, so the
+// shape is written out here.
 func BenchmarkTrainStep(b *testing.B) {
 	src := rng.New(1)
-	inputs, targets := makeSupervised(1, src)
-	n := New(Config{InputDim: 8, Hidden: []int{20, 12}, CapClasses: 4, TaskCount: 4, Seed: 5})
+	n := New(Config{InputDim: 13, Hidden: []int{48, 24}, CapClasses: 4, TaskCount: 8, Seed: 5})
+	x := mat.NewVector(13)
+	for j := range x {
+		x[j] = src.Float64()
+	}
+	te := make([]float64, 8)
+	for j := range te {
+		if src.Float64() > 0.5 {
+			te[j] = 1
+		}
+	}
+	target := Target{Cap: 2, Alpha: x.Sum() / 13, Te: te}
 	sc := n.newTrainScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.step(sc, inputs[0], targets[0], 0.01, 0.3, true)
+		n.step(sc, x, target, 0.01, 0.3, true)
 	}
 }

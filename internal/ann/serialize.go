@@ -1,7 +1,10 @@
 package ann
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -37,11 +40,13 @@ type Provenance struct {
 	ParentVersion int    `json:"parent_version,omitempty"`
 }
 
-// netJSON is the on-disk model format written by WriteJSON: the full
-// configuration and every weight, so a trained scheduler can be deployed
-// without retraining. Format 0 (absent) and 1 are the pre-provenance
-// layout; format 2 adds the provenance block.
-type netJSON struct {
+// netWire is the serialized model: the full configuration and every
+// weight, so a trained scheduler can be deployed without retraining.
+// WriteJSON writes it as JSON, the format of the model files people handle;
+// MarshalBinary writes it as gob, the format of the durable artifact store.
+// Format 0 (absent) and 1 are the pre-provenance layout; format 2 adds the
+// provenance block.
+type netWire struct {
 	Format     int         `json:"format,omitempty"`
 	Provenance *Provenance `json:"provenance,omitempty"`
 	Config     Config      `json:"config"`
@@ -55,6 +60,14 @@ type netJSON struct {
 	TeB        []float64   `json:"te_bias"`
 }
 
+// ErrInvalidModel marks a serialized model whose configuration or weights
+// do not describe a network. ReadJSON and UnmarshalBinary wrap it.
+var ErrInvalidModel = errors.New("ann: invalid model")
+
+func invalid(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrInvalidModel}, args...)...)
+}
+
 // SetProvenance attaches training provenance to the network; it is carried
 // by WriteJSON and restored by ReadJSON. Nil clears it.
 func (n *Network) SetProvenance(p *Provenance) { n.prov = p }
@@ -63,9 +76,9 @@ func (n *Network) SetProvenance(p *Provenance) { n.prov = p }
 // that predate provenance tracking (format-1 files, untrained networks).
 func (n *Network) Provenance() *Provenance { return n.prov }
 
-// WriteJSON serializes the trained network.
-func (n *Network) WriteJSON(w io.Writer) error {
-	out := netJSON{
+// wire returns the network's serialized form. It shares the weight slices.
+func (n *Network) wire() netWire {
+	out := netWire{
 		Format:     SerializeVersion,
 		Provenance: n.prov,
 		Config:     n.cfg,
@@ -77,8 +90,12 @@ func (n *Network) WriteJSON(w io.Writer) error {
 		out.TrunkW = append(out.TrunkW, n.trunkW[l].Data)
 		out.TrunkB = append(out.TrunkB, n.trunkB[l])
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return out
+}
+
+// WriteJSON serializes the trained network.
+func (n *Network) WriteJSON(w io.Writer) error {
+	return json.NewEncoder(w).Encode(n.wire())
 }
 
 // ReadJSON deserializes a network written by WriteJSON, validating every
@@ -86,58 +103,93 @@ func (n *Network) WriteJSON(w io.Writer) error {
 // version-1 files (no "format" field), which simply restore with nil
 // provenance.
 func ReadJSON(r io.Reader) (*Network, error) {
-	var in netJSON
+	var in netWire
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("ann: parsing model: %w", err)
 	}
+	return in.network()
+}
+
+// MarshalBinary encodes the network as gob of the wire struct WriteJSON
+// writes. encoding/gob calls it, so a *Network inside a gob stream needs
+// no codec of its own.
+func (n *Network) MarshalBinary() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(n.wire()); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// UnmarshalBinary replaces n with the network MarshalBinary encoded, after
+// the same validation as ReadJSON.
+func (n *Network) UnmarshalBinary(data []byte) error {
+	var in netWire
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
+		return fmt.Errorf("ann: parsing model: %w", err)
+	}
+	m, err := in.network()
+	if err != nil {
+		return err
+	}
+	*n = *m
+	return nil
+}
+
+// network validates every dimension of in against the weights it carries
+// and builds the network over those weights, never allocating for a size
+// a model only claims: a corrupt or hostile model costs no more than its
+// own bytes. Sizes are checked by division, never by a product that could
+// overflow.
+func (in *netWire) network() (*Network, error) {
 	if in.Format > SerializeVersion {
 		return nil, fmt.Errorf("ann: model format %d, this build reads up to %d", in.Format, SerializeVersion)
 	}
 	cfg := in.Config
 	if cfg.InputDim <= 0 || len(cfg.Hidden) == 0 || cfg.CapClasses <= 0 || cfg.TaskCount <= 0 {
-		return nil, fmt.Errorf("ann: model has invalid config %+v", cfg)
+		return nil, invalid("config %+v", cfg)
 	}
 	if len(in.TrunkW) != len(cfg.Hidden) || len(in.TrunkB) != len(cfg.Hidden) {
-		return nil, fmt.Errorf("ann: model has %d trunk layers, config says %d", len(in.TrunkW), len(cfg.Hidden))
+		return nil, invalid("%d trunk layers, config says %d", len(in.TrunkW), len(cfg.Hidden))
 	}
-	n := New(cfg)
+	n := &Network{cfg: cfg, alphaB: in.AlphaB, prov: in.Provenance}
 	prev := cfg.InputDim
 	for l, h := range cfg.Hidden {
-		if len(in.TrunkW[l]) != h*prev {
-			return nil, fmt.Errorf("ann: trunk layer %d has %d weights, want %d", l, len(in.TrunkW[l]), h*prev)
+		if h <= 0 {
+			return nil, invalid("trunk layer %d has %d units", l, h)
 		}
-		if len(in.TrunkB[l]) != h {
-			return nil, fmt.Errorf("ann: trunk layer %d has %d biases, want %d", l, len(in.TrunkB[l]), h)
+		if !holds(in.TrunkW[l], h, prev) || !holds(in.TrunkB[l], h, 1) {
+			return nil, invalid("trunk layer %d has %d weights and %d biases, want %d×%d and %d",
+				l, len(in.TrunkW[l]), len(in.TrunkB[l]), h, prev, h)
 		}
-		copy(n.trunkW[l].Data, in.TrunkW[l])
-		copy(n.trunkB[l], in.TrunkB[l])
+		n.trunkW = append(n.trunkW, &mat.Matrix{Rows: h, Cols: prev, Data: in.TrunkW[l]})
+		n.trunkB = append(n.trunkB, in.TrunkB[l])
 		prev = h
 	}
-	last := cfg.Hidden[len(cfg.Hidden)-1]
-	if err := fill(n.capW.Data, in.CapW, "cap weights", cfg.CapClasses*last); err != nil {
-		return nil, err
+	heads := []struct {
+		data       []float64
+		rows, cols int
+		what       string
+	}{
+		{in.CapW, cfg.CapClasses, prev, "cap weights"},
+		{in.CapB, cfg.CapClasses, 1, "cap bias"},
+		{in.AlphaW, prev, 1, "alpha weights"},
+		{in.TeW, cfg.TaskCount, prev, "te weights"},
+		{in.TeB, cfg.TaskCount, 1, "te bias"},
 	}
-	if err := fill(n.capB, in.CapB, "cap bias", cfg.CapClasses); err != nil {
-		return nil, err
+	for _, hd := range heads {
+		if !holds(hd.data, hd.rows, hd.cols) {
+			return nil, invalid("%s has %d values, want %d×%d", hd.what, len(hd.data), hd.rows, hd.cols)
+		}
 	}
-	if err := fill(n.alphaW, in.AlphaW, "alpha weights", last); err != nil {
-		return nil, err
-	}
-	n.alphaB = in.AlphaB
-	if err := fill(n.teW.Data, in.TeW, "te weights", cfg.TaskCount*last); err != nil {
-		return nil, err
-	}
-	if err := fill(n.teB, in.TeB, "te bias", cfg.TaskCount); err != nil {
-		return nil, err
-	}
-	n.prov = in.Provenance
+	n.capW = &mat.Matrix{Rows: cfg.CapClasses, Cols: prev, Data: in.CapW}
+	n.teW = &mat.Matrix{Rows: cfg.TaskCount, Cols: prev, Data: in.TeW}
+	n.capB, n.alphaW, n.teB = in.CapB, in.AlphaW, in.TeB
 	return n, nil
 }
 
-func fill(dst mat.Vector, src []float64, what string, want int) error {
-	if len(src) != want {
-		return fmt.Errorf("ann: model %s has %d values, want %d", what, len(src), want)
-	}
-	copy(dst, src)
-	return nil
+// holds reports whether data holds exactly rows×cols values; cols must be
+// positive.
+func holds(data []float64, rows, cols int) bool {
+	return len(data)%cols == 0 && len(data)/cols == rows
 }

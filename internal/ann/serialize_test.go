@@ -2,6 +2,9 @@ package ann
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -159,5 +162,80 @@ func TestReadJSONRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := ReadJSON(strings.NewReader(mangled)); err == nil {
 		t.Error("truncated cap bias accepted")
+	}
+}
+
+// badDimensionModels are model files whose configuration claims a shape
+// the carried weights do not have: a negative and a zero-width trunk layer,
+// and a 4096×4096 layer that carries one weight.
+var badDimensionModels = []struct{ name, src string }{
+	{"negative hidden", `{"config":{"InputDim":1,"Hidden":[-1],"CapClasses":1,"TaskCount":1},"trunk_weights":[[]],"trunk_biases":[[]]}`},
+	{"zero hidden", `{"config":{"InputDim":1,"Hidden":[0],"CapClasses":1,"TaskCount":1},"trunk_weights":[[]],"trunk_biases":[[]],"cap_weights":[],"cap_bias":[0],"alpha_weights":[],"te_weights":[],"te_bias":[0]}`},
+	{"huge layer", `{"config":{"InputDim":4096,"Hidden":[4096],"CapClasses":1,"TaskCount":1},"trunk_weights":[[0.5]],"trunk_biases":[[0.5]]}`},
+}
+
+// TestReadJSONRejectsBadDimensions: every dimension is checked against the
+// weights the file carries before anything is allocated for them, so a
+// non-positive layer is a typed error rather than a panic, and a file
+// that claims a huge layer costs no more than the file itself.
+func TestReadJSONRejectsBadDimensions(t *testing.T) {
+	for _, m := range badDimensionModels {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadJSON(strings.NewReader(m.src))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrInvalidModel) {
+			t.Errorf("%s: err = %v, want ErrInvalidModel", m.name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+			t.Errorf("%s: rejecting the model allocated %d bytes, want under 64 KiB", m.name, alloc)
+		}
+	}
+}
+
+// TestBinaryRoundTrip: MarshalBinary and UnmarshalBinary restore every
+// weight bit for bit, non-finite ones included, with the provenance;
+// WriteJSON of the restored network is the original's.
+func TestBinaryRoundTrip(t *testing.T) {
+	src := rng.New(5)
+	inputs, targets := makeSupervised(60, src)
+	n := New(Config{InputDim: 8, Hidden: []int{14, 6}, CapClasses: 4, TaskCount: 4, Seed: 3})
+	opt := DefaultTrainOptions()
+	opt.Epochs = 5
+	n.Train(inputs, targets, opt)
+	n.SetProvenance(&Provenance{Samples: 60, FineEpochs: 5, Loss: 0.25, Seed: 3, Parent: "ab", ParentVersion: 2})
+
+	data, err := n.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := new(Network)
+	if err := m.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := n.WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatal("binary round trip changed the network")
+	}
+	if *m.Provenance() != *n.Provenance() {
+		t.Fatalf("provenance = %+v, want %+v", m.Provenance(), n.Provenance())
+	}
+
+	n.alphaB = math.NaN()
+	n.teB[0] = math.Inf(-1)
+	if data, err = n.MarshalBinary(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(m.alphaB) != math.Float64bits(n.alphaB) || !math.IsInf(m.teB[0], -1) {
+		t.Fatalf("non-finite weights came back as %v, %v", m.alphaB, m.teB[0])
 	}
 }

@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/gob"
 
 	"solarsched/internal/ann"
 	"solarsched/internal/obs"
@@ -23,67 +23,56 @@ type Persister interface {
 // Codec serializes one artifact kind for the durable layer. Encode and
 // Decode must round-trip exactly: a decoded artifact feeds the same
 // simulations as the original, so any drift would silently change run
-// digests. JSON qualifies — Go prints float64 in shortest-form notation,
-// which parses back bit-identically.
+// digests. Every kind uses gobCodec. encoding/gob writes a float64 as its
+// IEEE-754 bits (a byte-reversed uint64) and an int as a varint, so every
+// field round-trips bit for bit, NaN and ±Inf included, which
+// encoding/json refuses to write. gob sends no empty slice, so an empty
+// slice decodes as nil; no artifact depends on the difference.
 type Codec struct {
 	Encode func(v any) ([]byte, error)
 	Decode func(data []byte) (any, error)
 }
 
-// jsonCodec round-trips *T through encoding/json.
-func jsonCodec[T any]() Codec {
+// gobCodec round-trips an artifact the cache holds as a V: a pointer for
+// the struct kinds, the slice itself for the slice kinds. Decoding into a
+// *V lets gob allocate whatever V points to, so both forms share one
+// codec. Each payload is a gob stream of its own, types included, so an
+// entry decodes without any other.
+func gobCodec[V any]() Codec {
 	return Codec{
-		Encode: func(v any) ([]byte, error) { return json.Marshal(v) },
-		Decode: func(data []byte) (any, error) {
-			p := new(T)
-			if err := json.Unmarshal(data, p); err != nil {
+		Encode: func(v any) ([]byte, error) {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 				return nil, err
 			}
-			return p, nil
+			return buf.Bytes(), nil
 		},
-	}
-}
-
-// jsonSliceCodec round-trips a slice type S (stored by value, not pointer).
-func jsonSliceCodec[S any]() Codec {
-	return Codec{
-		Encode: func(v any) ([]byte, error) { return json.Marshal(v) },
 		Decode: func(data []byte) (any, error) {
-			var s S
-			if err := json.Unmarshal(data, &s); err != nil {
+			var v V
+			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
 				return nil, err
 			}
-			return s, nil
+			return v, nil
 		},
 	}
 }
 
 // artifactCodecs maps durable artifact kinds (the prefix of a cache key,
-// see digest.go) to their codec. Kinds absent here stay memory-only:
-// trace-builtin is cheaper to regenerate than to read back, and keeping it
-// out also exercises the mixed durable/volatile path.
+// see digest.go) to their codec: one gob codec for all six. A trained
+// network goes through ann.Network's MarshalBinary/UnmarshalBinary, which
+// gob calls and which validate every dimension as ann.ReadJSON does. An
+// entry a build with another payload format wrote fails to decode and is
+// rebuilt once, under the same key (see durableGet). Kinds absent here
+// stay memory-only: trace-builtin is cheaper to regenerate than to read
+// back, and keeping it out also exercises the mixed durable/volatile path.
 func artifactCodecs() map[string]Codec {
 	return map[string]Codec{
-		"trace":    jsonCodec[solar.Trace](),
-		"patterns": jsonSliceCodec[[]sizing.DayPattern](),
-		"sizing":   jsonSliceCodec[[]float64](),
-		"samples":  jsonCodec[SampleSet](),
-		"plan":     jsonCodec[PlanArtifact](),
-		"dbn": Codec{
-			// ann.Network has its own checked serialization (layer shape
-			// validation on read); reuse it rather than raw-marshaling the
-			// weight matrices.
-			Encode: func(v any) ([]byte, error) {
-				var buf bytes.Buffer
-				if err := v.(*ann.Network).WriteJSON(&buf); err != nil {
-					return nil, err
-				}
-				return buf.Bytes(), nil
-			},
-			Decode: func(data []byte) (any, error) {
-				return ann.ReadJSON(bytes.NewReader(data))
-			},
-		},
+		"trace":    gobCodec[*solar.Trace](),
+		"patterns": gobCodec[[]sizing.DayPattern](),
+		"sizing":   gobCodec[[]float64](),
+		"samples":  gobCodec[*SampleSet](),
+		"plan":     gobCodec[*PlanArtifact](),
+		"dbn":      gobCodec[*ann.Network](),
 	}
 }
 

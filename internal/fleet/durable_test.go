@@ -149,9 +149,12 @@ func TestDurableCacheChaos(t *testing.T) {
 	}
 }
 
-// TestDurableCacheDegradesWithoutPersister: a key whose persisted bytes
-// fail to decode (format drift) silently falls back to a rebuild, and a
-// failing Put costs warmth, never correctness.
+// TestDurableCacheDecodeFailureRebuilds: a key whose persisted bytes fail
+// to decode (format drift) silently falls back to a rebuild that
+// overwrites the entry. The drift that happens in practice is a store a
+// build with the JSON payload format filled: no such payload may decode
+// into an artifact; each entry is rebuilt once and then served warm, with
+// the artifact a cold build makes.
 func TestDurableCacheDecodeFailureRebuilds(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -160,7 +163,7 @@ func TestDurableCacheDecodeFailureRebuilds(t *testing.T) {
 	// Persist garbage under the exact key the cache will derive.
 	c := NewDurableCache(nil, st)
 	key := artifactKey("sizing", "bogus")
-	if err := st.Put(key, []byte("not json")); err != nil {
+	if err := st.Put(key, []byte("not gob")); err != nil {
 		t.Fatal(err)
 	}
 	built := 0
@@ -173,6 +176,47 @@ func TestDurableCacheDecodeFailureRebuilds(t *testing.T) {
 	}
 	if w, _ := c.WarmStats(); w != 0 {
 		t.Fatalf("undecodable entry counted as a warm hit (%d)", w)
+	}
+
+	// Every kind's JSON payload, as the JSON codecs wrote it, under the
+	// artifact's own key.
+	vals, keys := seededArtifacts(t)
+	dir := t.TempDir()
+	old, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codecs := artifactCodecs()
+	for _, kind := range durableKinds {
+		data, err := jsonOf(vals[kind])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := codecs[kind].Decode(data); err == nil {
+			t.Errorf("%s: a JSON payload decoded into an artifact", kind)
+		}
+		if err := old.Put(keys[kind], data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pass, want := range []struct{ warm, cold int64 }{
+		{0, int64(len(durableKinds))}, // each JSON entry rebuilt once
+		{int64(len(durableKinds)), 0}, // the rebuilds overwrote them
+	} {
+		reopened, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewDurableCache(nil, reopened)
+		got := codecArtifacts(t, cache)
+		if w, b := cache.WarmStats(); w != want.warm || b != want.cold {
+			t.Fatalf("pass %d: %d warm hits, %d cold builds; want %d and %d", pass, w, b, want.warm, want.cold)
+		}
+		for _, kind := range durableKinds {
+			if d := artifactDiff(kind, vals[kind], got[kind]); d != "" {
+				t.Errorf("pass %d: %s differs from the cold build at %s", pass, kind, d)
+			}
+		}
 	}
 }
 

@@ -26,20 +26,17 @@ import (
 	"solarsched/internal/sim"
 	"solarsched/internal/solar"
 	"solarsched/internal/stats"
-	"solarsched/internal/store"
 	"solarsched/internal/task"
 )
 
 // Benchmark names emitted by Run. The comparator matches on these.
 const (
-	BenchEngineRun   = "engine_run"         // one WAM day under the intra baseline
-	BenchFleetCold   = "fleet_cold"         // quick fleet, empty artifact cache
-	BenchFleetWarm   = "fleet_warm"         // same fleet, warmed cache
-	BenchDecide      = "decide_once"        // one-shot online inference
-	BenchDecideBatch = "decide_batch"       // coalesced inference, ns per decision in a batch
-	BenchStoreWarm   = "store_warm_restart" // quick fleet rebuilt from an adopted on-disk store
-	BenchFleetDist   = "fleet_dist"         // quick fleet through the coordinator/worker protocol
-	BenchShadowEval  = "shadow_eval"        // decide with live shadow-scoring enabled vs off
+	BenchEngineRun   = "engine_run"   // one WAM day under the intra baseline
+	BenchFleetCold   = "fleet_cold"   // quick fleet, empty artifact cache
+	BenchDecide      = "decide_once"  // one-shot online inference
+	BenchDecideBatch = "decide_batch" // coalesced inference, ns per decision in a batch
+	BenchFleetDist   = "fleet_dist"   // quick fleet through the coordinator/worker protocol
+	BenchShadowEval  = "shadow_eval"  // decide with live shadow-scoring enabled vs off
 )
 
 // Config tunes a benchmark run. The zero value is the CI configuration.
@@ -128,16 +125,12 @@ func Run(ctx context.Context, cfg Config) (*Snapshot, error) {
 		{BenchFleetCold, func(ctx context.Context) (BenchResult, error) {
 			return benchFleetCold(ctx, cache)
 		}},
-		{BenchFleetWarm, func(ctx context.Context) (BenchResult, error) {
-			return benchFleet(ctx, BenchFleetWarm, cache, warmFleetReps)
-		}},
 		{BenchDecide, func(ctx context.Context) (BenchResult, error) {
 			return benchDecide(ctx, cache, cfg.DecideIters)
 		}},
 		{BenchDecideBatch, func(ctx context.Context) (BenchResult, error) {
 			return benchDecideBatch(ctx, cache, cfg.DecideIters)
 		}},
-		{BenchStoreWarm, benchStoreWarmRestart},
 		{BenchFleetDist, benchFleetDist},
 		{BenchShadowEval, func(ctx context.Context) (BenchResult, error) {
 			return benchShadowEval(ctx, cache, cfg.DecideIters)
@@ -277,23 +270,17 @@ func benchEngineRun(ctx context.Context, _ *fleet.Cache) (BenchResult, error) {
 	return best, nil
 }
 
-// warmFleetReps is how many warm passes benchFleet takes the best of.
-// A warm pass is ~10ms of pure simulation, so a single sample is at the
-// mercy of one GC cycle or a preemption — min-of-N is the standard cure
-// and keeps the 10% regression gate meaningful.
-const warmFleetReps = 5
-
 // benchFleetCold reports the fastest of benchReps cold passes. The first
-// pass runs against the suite's shared cache (warming it for fleet_warm
-// and decide_once); the remaining passes measure the same cold cost on
-// throwaway caches so every sample really pays the offline stages.
+// pass runs against the suite's shared cache (warming it for decide_once);
+// the remaining passes measure the same cold cost on throwaway caches so
+// every sample really pays the offline stages.
 func benchFleetCold(ctx context.Context, shared *fleet.Cache) (BenchResult, error) {
-	best, err := benchFleet(ctx, BenchFleetCold, shared, 1)
+	best, err := benchFleet(ctx, shared)
 	if err != nil {
 		return BenchResult{}, err
 	}
 	for rep := 1; rep < benchReps; rep++ {
-		r, err := benchFleet(ctx, BenchFleetCold, fleet.NewCache(nil), 1)
+		r, err := benchFleet(ctx, fleet.NewCache(nil))
 		if err != nil {
 			return BenchResult{}, err
 		}
@@ -306,31 +293,23 @@ func benchFleetCold(ctx context.Context, shared *fleet.Cache) (BenchResult, erro
 	return best, nil
 }
 
-// benchFleet measures wall-clock passes of the quick fleet against the
-// shared cache and keeps the fastest. Called first with an empty cache
-// (reps must be 1 — only the first pass is cold) it is the cold number
-// (includes trace gen, sizing, DP and training); called again it is the
-// warm number, and the cache-hit rate lands in Extra.
-func benchFleet(ctx context.Context, name string, cache *fleet.Cache, reps int) (BenchResult, error) {
+// benchFleet measures one wall-clock pass of the quick fleet against
+// cache (trace gen, sizing, DP and training when the cache is empty), with
+// the pass's cache-hit rate in Extra.
+func benchFleet(ctx context.Context, cache *fleet.Cache) (BenchResult, error) {
 	specs, err := quickFleetSpec().Compile(nil)
 	if err != nil {
 		return BenchResult{}, err
 	}
 	hits0, misses0 := cache.Stats()
-	best := 0.0
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		rep, err := fleet.Run(ctx, specs, fleet.Options{Cache: cache})
-		elapsed := float64(time.Since(start).Nanoseconds())
-		if err != nil {
-			return BenchResult{}, err
-		}
-		if ferr := rep.FirstErr(); ferr != nil {
-			return BenchResult{}, ferr
-		}
-		if r == 0 || elapsed < best {
-			best = elapsed
-		}
+	start := time.Now()
+	rep, err := fleet.Run(ctx, specs, fleet.Options{Cache: cache})
+	elapsed := float64(time.Since(start).Nanoseconds())
+	if err != nil {
+		return BenchResult{}, err
+	}
+	if ferr := rep.FirstErr(); ferr != nil {
+		return BenchResult{}, ferr
 	}
 	hits1, misses1 := cache.Stats()
 	dh, dm := float64(hits1-hits0), float64(misses1-misses0)
@@ -339,83 +318,14 @@ func benchFleet(ctx context.Context, name string, cache *fleet.Cache, reps int) 
 		hitRate = dh / (dh + dm)
 	}
 	return BenchResult{
-		Name:       name,
-		Iterations: reps,
-		NsPerOp:    best,
+		Name:       BenchFleetCold,
+		Iterations: 1,
+		NsPerOp:    elapsed,
 		Extra: map[string]float64{
 			"runs":           float64(len(specs)),
 			"cache_hit_rate": hitRate,
 		},
 	}, nil
-}
-
-// benchStoreWarmRestart measures the warm-restart path of the durable
-// artifact store: a process that inherits an on-disk store from a
-// previous run pays Open + boot Verify + a fleet pass whose offline
-// artifacts all come from disk (decode + integrity check) instead of
-// being recomputed. The gap between this number and fleet_cold is what
-// durability buys a restarted daemon; the gap to fleet_warm is the
-// decode-and-verify tax of going through the filesystem. A warm-hit
-// rate below 100% in Extra means an artifact stopped round-tripping.
-func benchStoreWarmRestart(ctx context.Context) (BenchResult, error) {
-	dir, err := os.MkdirTemp("", "perfbench-store-")
-	if err != nil {
-		return BenchResult{}, err
-	}
-	defer os.RemoveAll(dir)
-
-	specs, err := quickFleetSpec().Compile(nil)
-	if err != nil {
-		return BenchResult{}, err
-	}
-	runOnce := func(cache *fleet.Cache) error {
-		rep, err := fleet.Run(ctx, specs, fleet.Options{Cache: cache})
-		if err != nil {
-			return err
-		}
-		return rep.FirstErr()
-	}
-
-	// Populate: one cold pass writes every durable artifact to disk.
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		return BenchResult{}, err
-	}
-	if err := runOnce(fleet.NewDurableCache(nil, st)); err != nil {
-		return BenchResult{}, err
-	}
-
-	var best BenchResult
-	for rep := 0; rep < benchReps; rep++ {
-		start := time.Now()
-		st, err := store.Open(dir, store.Options{})
-		if err != nil {
-			return BenchResult{}, err
-		}
-		if _, err := st.Verify(); err != nil {
-			return BenchResult{}, err
-		}
-		cache := fleet.NewDurableCache(nil, st)
-		if err := runOnce(cache); err != nil {
-			return BenchResult{}, err
-		}
-		elapsed := float64(time.Since(start).Nanoseconds())
-		if rep == 0 || elapsed < best.NsPerOp {
-			warm, cold := cache.WarmStats()
-			best = BenchResult{
-				Iterations: 1,
-				NsPerOp:    elapsed,
-				Extra: map[string]float64{
-					"runs":          float64(len(specs)),
-					"warm_hits":     float64(warm),
-					"cold_builds":   float64(cold),
-					"warm_hit_rate": cache.WarmHitRate(),
-				},
-			}
-		}
-	}
-	best.Iterations = benchReps
-	return best, nil
 }
 
 // benchFleetDist measures the quick fleet through the internal/dist
@@ -424,8 +334,7 @@ func benchStoreWarmRestart(ctx context.Context) (BenchResult, error) {
 // files. The workers share one in-memory cache across repetitions, so
 // after the first (cold) pass the min-of-N isolates the protocol tax —
 // publish + claim + lease heartbeats + sealed-result commit — on top of
-// the simulation itself; the gap to fleet_warm is what distribution
-// costs.
+// the simulation itself.
 func benchFleetDist(ctx context.Context) (BenchResult, error) {
 	cache := fleet.NewCache(nil)
 	var best BenchResult

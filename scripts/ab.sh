@@ -16,8 +16,9 @@
 #
 # It prints, per end-to-end metric of BENCHMARK.json, the base median and
 # interquartile range, the head median and its change, and how many pairs
-# the head won (ties count for neither side), then every run's `correct`,
-# `failed` and exit status.
+# the head won, lost and tied; then one row per pair with its seed, the
+# side that ran first and every end-to-end metric's base and head values;
+# then every run's `correct`, `failed` and exit status.
 #
 # Exit status: 0 when every run succeeded and the gate holds; 1 when a run
 # exited nonzero; 2 on a usage error or when the two sides' benchmarks
@@ -147,7 +148,7 @@ def fmt(x):
 
 print("%s, seeds %d-%d: %s (base) vs the working tree (head)" % (workload, seeds[0], seeds[-1], base_rev))
 print()
-print("| metric | base median (IQR) | head median (change) | head better |")
+print("| metric | base median (IQR) | head median (change) | head won / lost / tied |")
 print("|---|---|---|---|")
 problems = []
 for m in spec["end_to_end"]:
@@ -164,11 +165,22 @@ for m in spec["end_to_end"]:
     worse = (hm - bm if lower else bm - hm)
     rel = worse / abs(bm) if bm else worse
     change = "%+.1f %%" % (100 * (hm - bm) / abs(bm)) if bm else "n/a"
-    print("| `%s` | %s %s (IQR %s) | %s %s (%s) | %d of %d |"
-          % (name, fmt(bm), m["unit"], fmt(iqr(bs)), fmt(hm), m["unit"], change, won, len(paired)))
+    print("| `%s` | %s %s (IQR %s) | %s %s (%s) | %d / %d / %d |"
+          % (name, fmt(bm), m["unit"], fmt(iqr(bs)), fmt(hm), m["unit"], change,
+             won, lost, len(paired) - won - lost))
     if lost == len(paired) and rel > m["bound"]:
         problems.append("%s worse in all %d pairs, median %.1f %% worse (bound %.0f %%)"
                         % (name, len(paired), 100 * rel, 100 * m["bound"]))
+print()
+names = [m["name"] for m in spec["end_to_end"]]
+print("| seed | first | " + " | ".join("`%s` base / head" % n for n in names) + " |")
+print("|---|---|" + "---|" * len(names))
+for k, s in enumerate(seeds):
+    cells = []
+    for n in names:
+        b, h = value("base", s, n), value("head", s, n)
+        cells.append("%s / %s" % ("-" if b is None else "%.6g" % b, "-" if h is None else "%.6g" % h))
+    print("| %d | %s | %s |" % (s, "base" if k % 2 == 0 else "head", " | ".join(cells)))
 print()
 for s in seeds:
     for side in ("base", "head"):
