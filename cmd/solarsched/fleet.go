@@ -5,9 +5,7 @@
 //
 // Flags:
 //
-//	-workers N   worker-pool size (default GOMAXPROCS); in
-//	             -coordinator-dir mode, the number of local worker
-//	             processes to fork (0 = external workers only)
+//	-workers N   worker-pool size (default GOMAXPROCS)
 //	-csv FILE    write the per-run report as CSV
 //	-json FILE   write the full report (metrics included) as JSON
 //	-digest      print only the aggregate digest (for golden comparisons)
@@ -18,20 +16,6 @@
 //	-log-format  diagnostic log format: text or json
 //	-metrics...  see internal/obs.Flags
 //
-// Distributed mode (see internal/dist):
-//
-//	-coordinator-dir D  shard the fleet across worker processes sharing D;
-//	                    forks -workers local workers, reclaims the leases
-//	                    of crashed ones, and falls back to local execution
-//	                    when no workers appear
-//	-worker             run as one worker process serving -coordinator-dir
-//	                    (takes no spec argument; exits when the batch ends)
-//	-lease-ttl          coordinator: heartbeat-loss horizon before a
-//	                    claimed item is reclaimed (default 10s)
-//	-straggler-after    coordinator: speculatively re-issue items claimed
-//	                    longer than this (0 = off)
-//	-heartbeat          worker: lease-touch cadence (default 1s)
-//
 // The process exits 0 when every run succeeded, 1 when any run failed and
 // 130 on SIGINT/SIGTERM; a partial report is still written on interruption.
 package main
@@ -41,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"solarsched/internal/ckpt"
 	"solarsched/internal/cli"
@@ -61,27 +44,16 @@ func runFleet(args []string) int {
 	quiet := fs.Bool("quiet", false, "suppress the table; errors still reach stderr")
 	storeDir := fs.String("store-dir", "", "durable artifact store: reuse offline artifacts across invocations")
 	retryAttempts := fs.Int("retry-attempts", 1, "attempts per run; transient failures retry with backoff")
-	coordDir := fs.String("coordinator-dir", "", "distributed mode: shared coordinator directory")
-	workerMode := fs.Bool("worker", false, "run as a distributed worker serving -coordinator-dir")
-	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "coordinator: reclaim claimed items after this heartbeat silence")
-	stragglerAfter := fs.Duration("straggler-after", 0, "coordinator: speculatively re-issue items claimed longer than this (0 = off)")
-	heartbeat := fs.Duration("heartbeat", time.Second, "worker: lease-touch cadence")
 	var of obs.Flags
 	of.Register(fs)
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: solarsched fleet [flags] <spec.json>\n"+
-			"       solarsched fleet -worker -coordinator-dir D [flags]\n\nflags:\n")
+		fmt.Fprintf(os.Stderr, "usage: solarsched fleet [flags] <spec.json>\n\nflags:\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *workerMode {
-		if *coordDir == "" || fs.NArg() != 0 {
-			fs.Usage()
-			return 2
-		}
-	} else if fs.NArg() != 1 {
+	if fs.NArg() != 1 {
 		fs.Usage()
 		return 2
 	}
@@ -103,64 +75,38 @@ func runFleet(args []string) int {
 		return 1
 	}
 
-	if *workerMode {
-		return runFleetWorker(ctx, logger, reg, *coordDir, *heartbeat)
-	}
-
 	diag := io.Writer(os.Stdout)
 	if *quiet || *digestOnly {
 		diag = io.Discard
 	}
 
-	var (
-		rep     *fleet.Report
-		runErr  error
-		durable *fleet.Cache
-	)
-	if *coordDir != "" {
-		spec, err := fleet.LoadFileSpec(fs.Arg(0))
-		if err != nil {
-			logger.Error("loading spec failed", "path", fs.Arg(0), "err", err)
-			return 1
-		}
-		logger.Info("distributed fleet starting", "runs", len(spec.Runs),
-			"spec", fs.Arg(0), "dir", *coordDir, "forked_workers", *workers)
-		rep, runErr = coordinateFleet(ctx, logger, reg, spec, distConfig{
-			dir:            *coordDir,
-			forkWorkers:    *workers,
-			leaseTTL:       *leaseTTL,
-			stragglerAfter: *stragglerAfter,
-			heartbeat:      *heartbeat,
-			retryAttempts:  *retryAttempts,
-		})
-	} else {
-		specs, err := fleet.LoadSpecFile(fs.Arg(0), reg)
-		if err != nil {
-			logger.Error("loading spec failed", "path", fs.Arg(0), "err", err)
-			return 1
-		}
-		logger.Info("fleet starting", "runs", len(specs), "spec", fs.Arg(0))
-
-		opts := fleet.Options{
-			Workers:  *workers,
-			Observer: reg,
-			Retry:    fleet.RetryPolicy{MaxAttempts: *retryAttempts, JitterSeed: uint64(os.Getpid())},
-		}
-		if *storeDir != "" {
-			st, err := store.Open(*storeDir, store.Options{Registry: reg})
-			if err != nil {
-				logger.Error("opening store failed", "dir", *storeDir, "err", err)
-				return 1
-			}
-			if vs, err := st.Verify(); err == nil {
-				logger.Info("store opened", "dir", *storeDir,
-					"adopted", vs.Adopted, "quarantined", vs.Quarantined)
-			}
-			durable = fleet.NewDurableCache(reg, st)
-			opts.Cache = durable
-		}
-		rep, runErr = fleet.Run(ctx, specs, opts)
+	specs, err := fleet.LoadSpecFile(fs.Arg(0), reg)
+	if err != nil {
+		logger.Error("loading spec failed", "path", fs.Arg(0), "err", err)
+		return 1
 	}
+	logger.Info("fleet starting", "runs", len(specs), "spec", fs.Arg(0))
+
+	opts := fleet.Options{
+		Workers:  *workers,
+		Observer: reg,
+		Retry:    fleet.RetryPolicy{MaxAttempts: *retryAttempts, JitterSeed: uint64(os.Getpid())},
+	}
+	var durable *fleet.Cache
+	if *storeDir != "" {
+		st, err := store.Open(*storeDir, store.Options{Registry: reg})
+		if err != nil {
+			logger.Error("opening store failed", "dir", *storeDir, "err", err)
+			return 1
+		}
+		if vs, err := st.Verify(); err == nil {
+			logger.Info("store opened", "dir", *storeDir,
+				"adopted", vs.Adopted, "quarantined", vs.Quarantined)
+		}
+		durable = fleet.NewDurableCache(reg, st)
+		opts.Cache = durable
+	}
+	rep, runErr := fleet.Run(ctx, specs, opts)
 	// A canceled fleet still returns the partial report; render and persist
 	// what completed before mapping the error onto the exit status.
 	if rep != nil {

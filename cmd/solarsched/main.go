@@ -56,13 +56,10 @@ func main() {
 // return path — including graceful interruption — unwinds the deferred
 // signal handler and maps its error honestly onto the process status.
 func run() int {
-	// The fleet and bench subcommands carry their own flag sets; dispatch
-	// before the global flag.Parse so they never collide.
+	// The fleet, store and model subcommands carry their own flag sets;
+	// dispatch before the global flag.Parse so they never collide.
 	if len(os.Args) > 1 && os.Args[1] == "fleet" {
 		return runFleet(os.Args[2:])
-	}
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		return runBench(os.Args[2:])
 	}
 	if len(os.Args) > 1 && os.Args[1] == "store" {
 		return runStore(os.Args[2:])
@@ -353,10 +350,6 @@ ablations (design-choice studies, not in the paper's figures):
 batch runs:
   fleet <spec.json>     run a batch of simulations on the shared-cache
                         worker pool (see \"solarsched fleet -h\")
-
-performance:
-  bench                 run the profiled benchmark suite and diff against
-                        a committed BENCH_*.json (see \"solarsched bench -h\")
 
 continuous learning:
   model                 inspect, promote and roll back versions in a

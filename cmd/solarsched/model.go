@@ -29,7 +29,7 @@ import (
 )
 
 // runModel is the `model` subcommand body, dispatched before the global
-// flag.Parse like fleet, bench and store.
+// flag.Parse like fleet and store.
 func runModel(args []string) int {
 	fs := flag.NewFlagSet("model", flag.ContinueOnError)
 	dir := fs.String("learn-dir", "", "continuous-learning state directory (required)")

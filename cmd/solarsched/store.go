@@ -23,7 +23,7 @@ import (
 )
 
 // runStore is the `store` subcommand body, dispatched before the global
-// flag.Parse like fleet and bench.
+// flag.Parse like fleet and model.
 func runStore(args []string) int {
 	fs := flag.NewFlagSet("store", flag.ContinueOnError)
 	dir := fs.String("dir", "", "store directory (required)")

@@ -18,16 +18,14 @@
 //	                   started with -api-keys-file)
 //	-json              emit the summary (error rate, sustained req/s,
 //	                   latency percentiles, per-class breakdown, cache
-//	                   deltas) as JSON — the shape `solarsched bench
-//	                   -loadgen` embeds into a BENCH_*.json trajectory point
+//	                   deltas) as JSON (LoadgenSummary)
 //
 // Mode decide posts one-shot online inferences — the latency that matters
 // for a node asking the service for its next period's plan. Mode runs
 // posts synchronous fleet submissions (?wait=1), so the first request
 // pays the offline stages and the rest measure warm-cache service time.
 // A -mix run interleaves the two, the realistic shape for a daemon serving
-// both planners and live nodes, and the workload whose decide tail the
-// -batch-window coalescer is built to protect.
+// both planners and live nodes.
 package main
 
 import (
@@ -46,7 +44,6 @@ import (
 	"time"
 
 	"solarsched/internal/obs"
-	"solarsched/internal/perfbench"
 	"solarsched/internal/stats"
 )
 
@@ -74,6 +71,38 @@ const defaultRunsBody = `{
   ]
 }`
 
+// LoadgenSummary is the -json output of a loadgen run.
+type LoadgenSummary struct {
+	Requests    int     `json:"requests"`
+	Errors      int     `json:"errors"`
+	ErrorRate   float64 `json:"error_rate"`
+	ElapsedSecs float64 `json:"elapsed_secs"`
+	Throughput  float64 `json:"throughput_rps"`
+	DecideP50MS float64 `json:"decide_p50_ms,omitempty"`
+	DecideP99MS float64 `json:"decide_p99_ms,omitempty"`
+	CacheHits   int64   `json:"cache_hits,omitempty"`
+	CacheMisses int64   `json:"cache_misses,omitempty"`
+	// Throttled counts requests that were answered 429 and retried after
+	// the daemon's jittered Retry-After — backpressure, not failure.
+	Throttled int64 `json:"throttled,omitempty"`
+	// Classes breaks the run down per request class when the generator
+	// drove mixed traffic (loadgen -mix decide=N,run=M).
+	Classes []LoadgenClass `json:"classes,omitempty"`
+}
+
+// LoadgenClass is one request class of a mixed loadgen run: its share of
+// the traffic with its own error rate and latency percentiles, so a cheap
+// class (decide) isn't averaged away by an expensive one (runs).
+type LoadgenClass struct {
+	Name      string  `json:"name"`
+	Requests  int     `json:"requests"`
+	Errors    int     `json:"errors"`
+	ErrorRate float64 `json:"error_rate"`
+	P50MS     float64 `json:"p50_ms"`
+	P95MS     float64 `json:"p95_ms"`
+	P99MS     float64 `json:"p99_ms"`
+}
+
 // loadClass is one request class of the generated traffic: every request
 // of the class posts the same body to the same path.
 type loadClass struct {
@@ -92,7 +121,7 @@ func runLoadgen(args []string) int {
 	specPath := fs.String("spec", "", "fleet spec body for run requests (built-in default)")
 	bodyPath := fs.String("body", "", "decide body for decide requests (built-in default)")
 	apiKey := fs.String("api-key", "", "X-API-Key header value (for daemons with -api-keys-file)")
-	jsonOut := fs.Bool("json", false, "emit the summary as JSON (the shape `solarsched bench -loadgen` ingests)")
+	jsonOut := fs.Bool("json", false, "emit the summary as JSON")
 	logFormat := fs.String("log-format", obs.LogText, "diagnostic log format: text or json")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: solarschedd loadgen [flags] <base-url>\n\nflags:\n")
@@ -231,12 +260,12 @@ func runLoadgen(args []string) int {
 		perClass[c] = append(perClass[c], latencies[i])
 	}
 	fails := 0
-	classSummaries := make([]perfbench.LoadgenClass, len(classes))
+	classSummaries := make([]LoadgenClass, len(classes))
 	for c, cls := range classes {
 		sort.Float64s(perClass[c])
 		ce := int(classErrs[c].Load())
 		fails += ce
-		classSummaries[c] = perfbench.LoadgenClass{
+		classSummaries[c] = LoadgenClass{
 			Name:      cls.name,
 			Requests:  cls.n,
 			Errors:    ce,
@@ -258,7 +287,7 @@ func runLoadgen(args []string) int {
 		}
 	}
 	sort.Float64s(latencies)
-	summary := perfbench.LoadgenSummary{
+	summary := LoadgenSummary{
 		Requests:    total,
 		Errors:      fails,
 		ErrorRate:   float64(fails) / float64(total),

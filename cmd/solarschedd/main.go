@@ -8,12 +8,7 @@
 // Usage:
 //
 //	solarschedd [flags]
-//	solarschedd -worker -coordinator-dir D [flags]
 //	solarschedd loadgen [flags] <base-url>
-//
-// With -worker the daemon becomes one distributed-fleet worker serving
-// a coordinator directory (see worker.go); every other mode below is
-// the scheduler-as-a-service API.
 //
 // Flags:
 //
@@ -28,11 +23,6 @@
 //	-store-max-bytes N, -store-max-age D — store GC budget (LRU)
 //	-retry-attempts N per-run supervision: transient failures retry with
 //	                  exponential backoff (default 1 = no retry)
-//	-batch-window D   coalesce concurrent /v1/decide requests for up to D
-//	                  and answer them with one batched forward pass,
-//	                  bit-identical to solo calls (0 disables)
-//	-batch-max N      max decide requests per batch; full batches flush
-//	                  before the window elapses (default 32)
 //	-api-keys-file F  JSON tenant list ({name, key, rate_per_sec, burst});
 //	                  enables API-key auth, per-tenant token-bucket rate
 //	                  limits (429 + jittered Retry-After) and per-tenant
@@ -58,10 +48,9 @@
 // Chrome trace, and as serve_job_info metric labels — one ID joins all
 // three telemetry channels.
 //
-// SIGINT/SIGTERM drain gracefully: open decide micro-batches flush
-// immediately (waiters get their answers now, not after -batch-window),
-// the listener stops, queued and in-flight jobs are canceled (engines
-// stop at the next period boundary and, with -ckpt-dir, flush resumable
+// SIGINT/SIGTERM drain gracefully: the listener stops (in-flight
+// requests finish), queued and in-flight jobs are canceled (engines stop
+// at the next period boundary and, with -ckpt-dir, flush resumable
 // checkpoints), buffered learn telemetry is flushed, and the process
 // exits 130. A second signal exits immediately.
 package main
@@ -106,8 +95,6 @@ func run(args []string) int {
 	storeDir := fs.String("store-dir", "", "durable artifact store directory (empty disables persistence)")
 	storeMaxBytes := fs.Int64("store-max-bytes", 0, "store size budget in bytes, LRU-evicted by GC (0 = unlimited)")
 	storeMaxAge := fs.Duration("store-max-age", 0, "evict store entries unread for this long (0 = unlimited)")
-	batchWindow := fs.Duration("batch-window", 0, "coalesce concurrent /v1/decide requests for up to this long and answer them with one batched forward pass (0 disables)")
-	batchMax := fs.Int("batch-max", 0, "max decide requests per batch; a full batch flushes early (default 32, needs -batch-window)")
 	apiKeysFile := fs.String("api-keys-file", "", "JSON array of tenants ({name, key, rate_per_sec, burst}); enables per-tenant auth, rate limits and metrics on /v1/decide")
 	learnDir := fs.String("learn-dir", "", "continuous-learning state directory (telemetry, model registry); empty disables the loop")
 	learnInterval := fs.Duration("learn-interval", 15*time.Minute, "background retraining cadence (0 disables the ticker; cycles then run only via the model CLI)")
@@ -120,9 +107,6 @@ func run(args []string) int {
 	retryAttempts := fs.Int("retry-attempts", 1, "attempts per fleet run; transient failures retry with backoff")
 	runTimeout := fs.Duration("run-timeout", 0, "per-attempt deadline for each fleet run (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for in-flight jobs")
-	workerMode := fs.Bool("worker", false, "run as a distributed-fleet worker serving -coordinator-dir (see internal/dist)")
-	coordDir := fs.String("coordinator-dir", "", "worker mode: shared coordinator directory to serve")
-	heartbeat := fs.Duration("heartbeat", time.Second, "worker mode: lease-touch cadence")
 	debugAddr := fs.String("debug-addr", "", "separate listener for /debug/pprof/* and /debug/vars (empty disables)")
 	chromeTrace := fs.String("chrome-trace", "", "write daemon spans as a Chrome trace_event file on exit")
 	quiet := fs.Bool("quiet", false, "log errors only")
@@ -172,14 +156,6 @@ func run(args []string) int {
 	sampler.Start()
 	defer sampler.Stop()
 
-	if *workerMode {
-		if *coordDir == "" {
-			fmt.Fprintln(os.Stderr, "solarschedd: -worker requires -coordinator-dir")
-			return 2
-		}
-		return runWorkerMode(ctx, logger, reg, *addr, *coordDir, *heartbeat)
-	}
-
 	cfg := serve.Config{
 		Workers:       *workers,
 		QueueDepth:    *queue,
@@ -193,8 +169,6 @@ func run(args []string) int {
 			JitterSeed:  uint64(os.Getpid()),
 		},
 		RetryAfterSeed: uint64(time.Now().UnixNano()),
-		BatchWindow:    *batchWindow,
-		BatchMax:       *batchMax,
 	}
 	if *apiKeysFile != "" {
 		tenants, err := serve.LoadTenantsFile(*apiKeysFile)
@@ -301,11 +275,6 @@ func run(args []string) int {
 	logger.Info("draining", "note", "second signal exits immediately")
 	drainCtx, drainCancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer drainCancel()
-	// Flush open decide micro-batches before stopping the listener:
-	// httpSrv.Shutdown waits for in-flight requests, and a request parked
-	// in a batch window would otherwise stall the drain for the full
-	// -batch-window before answering.
-	s.DrainBatches()
 	// Stop accepting connections first, then drain the job backend; the
 	// order means in-flight status requests finish while jobs wind down.
 	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -94,6 +94,37 @@ func TestForwardPanicsOnWrongDim(t *testing.T) {
 		Forward(mat.NewVector(5))
 }
 
+func requireSameOutput(t *testing.T, ctx string, got, want Output) {
+	t.Helper()
+	if got.Alpha != want.Alpha {
+		t.Fatalf("%s: Alpha %v != %v", ctx, got.Alpha, want.Alpha)
+	}
+	for i := range want.CapProbs {
+		if got.CapProbs[i] != want.CapProbs[i] {
+			t.Fatalf("%s: CapProbs[%d] %v != %v", ctx, i, got.CapProbs[i], want.CapProbs[i])
+		}
+	}
+	for i := range want.Te {
+		if got.Te[i] != want.Te[i] {
+			t.Fatalf("%s: Te[%d] %v != %v", ctx, i, got.Te[i], want.Te[i])
+		}
+	}
+}
+
+func TestForwardWSMatchesForward(t *testing.T) {
+	n := New(Config{InputDim: 6, Hidden: []int{8, 4}, CapClasses: 3, TaskCount: 5, Seed: 9})
+	src := rng.New(11).SplitLabeled("ann/ws")
+	ws := mat.NewWorkspace()
+	for i := 0; i < 10; i++ {
+		x := mat.NewVector(6)
+		for j := range x {
+			x[j] = src.Norm(0, 2)
+		}
+		requireSameOutput(t, "ws", n.ForwardWS(x, ws), n.Forward(x))
+		ws.Reset()
+	}
+}
+
 // synthetic supervised problem: cap = quadrant of the input, alpha = mean,
 // te = per-dimension threshold. The network must fit it.
 func makeSupervised(n int, src *rng.Source) ([]mat.Vector, []Target) {

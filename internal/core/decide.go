@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"solarsched/internal/ann"
-	"solarsched/internal/mat"
 	"solarsched/internal/supercap"
 )
 
@@ -40,16 +39,17 @@ type OnlineDecision struct {
 }
 
 // DecideRequest carries the inputs of one period-boundary inference. It is
-// the single validated input type shared by the single-shot Decide and the
-// batched DecideBatch paths (and, upstream, by the /v1/decide coalescer).
+// the single validated input type shared by Decide and the /v1/decide
+// handler.
 type DecideRequest struct {
-	// PrevPowers is the slot powers of the previous period (nil on a cold
-	// start).
+	// PrevPowers is the slot powers of the previous period in W (nil on a
+	// cold start); each lies in [0, maxSlotPower].
 	PrevPowers []float64
 	// Voltages is the per-capacitor voltages; len must equal
 	// len(pc.Capacitances).
 	Voltages []float64
-	// AccumulatedDMR is the deadline-miss ratio accumulated so far.
+	// AccumulatedDMR is the deadline-miss ratio accumulated so far, in
+	// [0, 1].
 	AccumulatedDMR float64
 	// PeriodOfDay ∈ [0, pc.Base.PeriodsPerDay).
 	PeriodOfDay int
@@ -57,20 +57,17 @@ type DecideRequest struct {
 	ActiveCap int
 }
 
+// maxSlotPower is the largest harvested slot power a DecideRequest may
+// report: 1 W, ten times powerNorm and about ten times the default panel's
+// 0.0945 W peak. Bounding it keeps every feature finite, so the forward pass
+// never sees ±Inf.
+const maxSlotPower = 10 * powerNorm
+
 // Validate checks the request against the plan and the network it will be
 // decided with. It folds in pc.Validate and the network-shape checks so one
-// call answers "would Decide accept this?" — the serving layer uses it to
-// reject bad requests before they ever join a batch.
+// call answers "would Decide accept this?". The comparisons are written so
+// that NaN fails them.
 func (r DecideRequest) Validate(pc PlanConfig, net *ann.Network) error {
-	if err := validatePlanNet(pc, net); err != nil {
-		return err
-	}
-	return r.validateFields(pc)
-}
-
-// validatePlanNet checks the batch-invariant part: the plan itself and the
-// network's shape against it.
-func validatePlanNet(pc PlanConfig, net *ann.Network) error {
 	if err := pc.Validate(); err != nil {
 		return err
 	}
@@ -81,12 +78,6 @@ func validatePlanNet(pc PlanConfig, net *ann.Network) error {
 	if cfg.TaskCount != pc.Graph.N() {
 		return fmt.Errorf("core: network has %d task outputs, graph has %d", cfg.TaskCount, pc.Graph.N())
 	}
-	return nil
-}
-
-// validateFields checks the per-request part against an already-validated
-// plan.
-func (r DecideRequest) validateFields(pc PlanConfig) error {
 	if len(r.Voltages) != len(pc.Capacitances) {
 		return fmt.Errorf("core: %d voltages for a bank of %d", len(r.Voltages), len(pc.Capacitances))
 	}
@@ -97,8 +88,16 @@ func (r DecideRequest) validateFields(pc PlanConfig) error {
 		return fmt.Errorf("core: period-of-day %d outside [0,%d)", r.PeriodOfDay, pc.Base.PeriodsPerDay)
 	}
 	for i, v := range r.Voltages {
-		if v < 0 || v > pc.Params.VHigh*1.5 {
+		if !(v >= 0 && v <= pc.Params.VHigh*1.5) {
 			return fmt.Errorf("core: voltage[%d] = %g outside the physical range", i, v)
+		}
+	}
+	if !(r.AccumulatedDMR >= 0 && r.AccumulatedDMR <= 1) {
+		return fmt.Errorf("core: accumulated DMR %g outside [0,1]", r.AccumulatedDMR)
+	}
+	for i, w := range r.PrevPowers {
+		if !(w >= 0 && w <= maxSlotPower) {
+			return fmt.Errorf("core: last-period power[%d] = %g W outside [0,%g]", i, w, maxSlotPower)
 		}
 	}
 	return nil
@@ -117,42 +116,6 @@ func Decide(pc PlanConfig, net *ann.Network, req DecideRequest) (OnlineDecision,
 	}
 	x := Features(req.PrevPowers, req.Voltages, req.AccumulatedDMR, req.PeriodOfDay, pc.Base.PeriodsPerDay, pc.Params)
 	return decisionFrom(pc, req, net.Forward(x)), nil
-}
-
-// DecideBatch answers a batch of requests against one network with a single
-// batched forward pass, applying the §5 rules (predecessor closure, E_th,
-// δ) row-wise. The result is bit-identical to calling Decide on each
-// request in order; the batch amortizes one matrix multiply per layer
-// across all requests. An invalid request fails the whole batch with an
-// error naming its index — callers that must isolate failures (the serving
-// coalescer) validate each request before batching.
-func DecideBatch(pc PlanConfig, net *ann.Network, reqs []DecideRequest) ([]OnlineDecision, error) {
-	return DecideBatchWS(pc, net, reqs, nil)
-}
-
-// DecideBatchWS is DecideBatch with a scratch workspace for the batched
-// forward pass. The returned decisions never alias ws, so they stay valid
-// after ws.Reset. A nil ws allocates fresh scratch.
-func DecideBatchWS(pc PlanConfig, net *ann.Network, reqs []DecideRequest, ws *mat.Workspace) ([]OnlineDecision, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	if err := validatePlanNet(pc, net); err != nil {
-		return nil, err
-	}
-	xs := make([]mat.Vector, len(reqs))
-	for i, req := range reqs {
-		if err := req.validateFields(pc); err != nil {
-			return nil, fmt.Errorf("core: batch request %d: %w", i, err)
-		}
-		xs[i] = Features(req.PrevPowers, req.Voltages, req.AccumulatedDMR, req.PeriodOfDay, pc.Base.PeriodsPerDay, pc.Params)
-	}
-	outs := net.ForwardBatchWS(xs, ws)
-	ds := make([]OnlineDecision, len(reqs))
-	for i, out := range outs {
-		ds[i] = decisionFrom(pc, reqs[i], out)
-	}
-	return ds, nil
 }
 
 // decisionFrom applies the §5 post-processing rules to one network output.

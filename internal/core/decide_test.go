@@ -1,18 +1,15 @@
 package core
 
 import (
-	"fmt"
-	"strings"
+	"math"
 	"testing"
 
-	"solarsched/internal/mat"
-	"solarsched/internal/rng"
 	"solarsched/internal/solar"
 	"solarsched/internal/task"
 )
 
 // decideFixture trains one small network for the Decide tests.
-func decideFixture(t *testing.T) (PlanConfig, *Proposed) {
+func decideFixture(t testing.TB) (PlanConfig, *Proposed) {
 	t.Helper()
 	g := task.WAM()
 	tb := solar.DefaultTimeBase(2)
@@ -124,6 +121,14 @@ func TestDecideValidation(t *testing.T) {
 		"active out of range": {Voltages: ok, ActiveCap: 7},
 		"period out of range": {Voltages: ok, PeriodOfDay: -1},
 		"unphysical voltage":  {Voltages: []float64{99, 1.5, 1.5}},
+		"NaN voltage":         {Voltages: []float64{math.NaN(), 1.5, 1.5}},
+		"negative DMR":        {Voltages: ok, AccumulatedDMR: -7},
+		"DMR above one":       {Voltages: ok, AccumulatedDMR: 1e308},
+		"NaN DMR":             {Voltages: ok, AccumulatedDMR: math.NaN()},
+		"huge power":          {Voltages: ok, PrevPowers: []float64{0.02, 1e308}},
+		"negative power":      {Voltages: ok, PrevPowers: []float64{-1e-3}},
+		"infinite power":      {Voltages: ok, PrevPowers: []float64{math.Inf(1)}},
+		"NaN power":           {Voltages: ok, PrevPowers: []float64{math.NaN()}},
 	}
 	for name, req := range cases {
 		if _, err := Decide(pc, prop.net, req); err == nil {
@@ -133,123 +138,37 @@ func TestDecideValidation(t *testing.T) {
 			t.Errorf("%s: Validate returned no error", name)
 		}
 	}
-	if err := (DecideRequest{Voltages: ok}).Validate(pc, prop.net); err != nil {
-		t.Errorf("valid request rejected: %v", err)
+	edge := []DecideRequest{
+		{Voltages: ok},
+		{Voltages: ok, AccumulatedDMR: 1, PrevPowers: []float64{0, maxSlotPower}},
+	}
+	for _, req := range edge {
+		if err := req.Validate(pc, prop.net); err != nil {
+			t.Errorf("valid request %+v rejected: %v", req, err)
+		}
 	}
 }
 
-// randomDecideRequest draws a structurally valid request from src.
-func randomDecideRequest(pc PlanConfig, src *rng.Source) DecideRequest {
+// BenchmarkDecide is one stateless period-boundary inference, the unit
+// /v1/decide serves: features, DBN forward pass, predecessor closure and
+// the E_th/δ rules.
+func BenchmarkDecide(b *testing.B) {
+	pc, prop := decideFixture(b)
+	prev := make([]float64, pc.Base.SlotsPerPeriod)
+	for i := range prev {
+		prev[i] = 0.03
+	}
 	req := DecideRequest{
-		Voltages:       make([]float64, len(pc.Capacitances)),
-		AccumulatedDMR: src.Float64(),
-		PeriodOfDay:    src.Intn(pc.Base.PeriodsPerDay),
-		ActiveCap:      src.Intn(len(pc.Capacitances)),
+		PrevPowers:     prev,
+		Voltages:       []float64{1.2, 2.4, 2.9},
+		AccumulatedDMR: 0.02,
+		PeriodOfDay:    pc.Base.PeriodsPerDay / 2,
 	}
-	for i := range req.Voltages {
-		req.Voltages[i] = pc.Params.VLow + src.Float64()*(pc.Params.VHigh-pc.Params.VLow)
-	}
-	if src.Intn(3) > 0 { // cold starts (nil PrevPowers) mixed in
-		req.PrevPowers = make([]float64, pc.Base.SlotsPerPeriod)
-		for i := range req.PrevPowers {
-			req.PrevPowers[i] = 0.1 * src.Float64()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decide(pc, prop.net, req); err != nil {
+			b.Fatal(err)
 		}
-	}
-	return req
-}
-
-func requireSameDecision(t *testing.T, ctx string, got, want OnlineDecision) {
-	t.Helper()
-	if got.Cap != want.Cap || got.Alpha != want.Alpha || got.Intra != want.Intra ||
-		got.Switch != want.Switch || got.Migrate != want.Migrate ||
-		got.EThJoules != want.EThJoules || got.UsableJoules != want.UsableJoules {
-		t.Fatalf("%s: batched %+v != sequential %+v", ctx, got, want)
-	}
-	if len(got.Te) != len(want.Te) {
-		t.Fatalf("%s: te length %d != %d", ctx, len(got.Te), len(want.Te))
-	}
-	for i := range want.Te {
-		if got.Te[i] != want.Te[i] {
-			t.Fatalf("%s: te[%d] %v != %v", ctx, i, got.Te[i], want.Te[i])
-		}
-	}
-}
-
-// TestDecideBatchBitIdentical is the fuzz half of the batched-vs-sequential
-// property: randomized batches of valid requests must decide bit-identically
-// to N sequential Decide calls, including with a recycled workspace.
-func TestDecideBatchBitIdentical(t *testing.T) {
-	pc, prop := decideFixture(t)
-	src := rng.New(888).SplitLabeled("core/decide-batch-fuzz")
-	ws := mat.NewWorkspace()
-	for trial := 0; trial < 8; trial++ {
-		reqs := make([]DecideRequest, 1+src.Intn(13))
-		for i := range reqs {
-			reqs[i] = randomDecideRequest(pc, src)
-		}
-		batched, err := DecideBatchWS(pc, prop.net, reqs, ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, req := range reqs {
-			want, err := Decide(pc, prop.net, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameDecision(t, fmt.Sprintf("trial %d row %d", trial, i), batched[i], want)
-		}
-		ws.Reset()
-	}
-}
-
-// TestDecideBatchGolden pins one concrete batch so both paths drifting
-// together still trips a failure.
-func TestDecideBatchGolden(t *testing.T) {
-	pc, prop := decideFixture(t)
-	reqs := []DecideRequest{
-		{Voltages: []float64{1.2, 2.4, 2.9}, AccumulatedDMR: 0.05, PeriodOfDay: 17},
-		{Voltages: []float64{pc.Params.VLow, pc.Params.VHigh, pc.Params.VHigh}, ActiveCap: 0},
-		{Voltages: []float64{2.0, 2.0, 2.0}, AccumulatedDMR: 0.5, PeriodOfDay: 3, ActiveCap: 2},
-	}
-	ds, err := DecideBatch(pc, prop.net, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := ""
-	for _, d := range ds {
-		golden += fmt.Sprintf("cap=%d alpha=%.12f intra=%v switch=%v migrate=%v eth=%.9f usable=%.9f te=%v\n",
-			d.Cap, d.Alpha, d.Intra, d.Switch, d.Migrate, d.EThJoules, d.UsableJoules, d.Te)
-	}
-	sequential := ""
-	for _, req := range reqs {
-		d, err := Decide(pc, prop.net, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sequential += fmt.Sprintf("cap=%d alpha=%.12f intra=%v switch=%v migrate=%v eth=%.9f usable=%.9f te=%v\n",
-			d.Cap, d.Alpha, d.Intra, d.Switch, d.Migrate, d.EThJoules, d.UsableJoules, d.Te)
-	}
-	if golden != sequential {
-		t.Fatalf("batch digest mismatch:\n got %q\nwant %q", golden, sequential)
-	}
-}
-
-// TestDecideBatchErrors: empty batches are a no-op; one bad request fails
-// the whole batch with its index named.
-func TestDecideBatchErrors(t *testing.T) {
-	pc, prop := decideFixture(t)
-	if ds, err := DecideBatch(pc, prop.net, nil); err != nil || ds != nil {
-		t.Fatalf("empty batch: ds=%v err=%v", ds, err)
-	}
-	reqs := []DecideRequest{
-		{Voltages: []float64{1.5, 1.5, 1.5}},
-		{Voltages: []float64{1.5}}, // wrong count
-	}
-	_, err := DecideBatch(pc, prop.net, reqs)
-	if err == nil {
-		t.Fatal("bad request did not fail the batch")
-	}
-	if want := "batch request 1"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not name the bad index (%q)", err, want)
 	}
 }

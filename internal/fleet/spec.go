@@ -84,24 +84,6 @@ func LoadSpecFile(path string, reg *obs.Registry) ([]Spec, error) {
 	return ReadSpecs(f, reg)
 }
 
-// LoadFileSpec reads and parses (without compiling) a fleet spec file —
-// the distributed coordinator resolves and ships the parsed spec to
-// worker processes instead of compiling it in-process.
-func LoadFileSpec(path string) (*FileSpec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	var fs FileSpec
-	if err := dec.Decode(&fs); err != nil {
-		return nil, fmt.Errorf("fleet: parse spec: %w", err)
-	}
-	return &fs, nil
-}
-
 // ReadSpecs parses a FileSpec document and compiles it.
 func ReadSpecs(r io.Reader, reg *obs.Registry) ([]Spec, error) {
 	dec := json.NewDecoder(r)
@@ -161,9 +143,7 @@ func (fs *FileSpec) Compile(reg *obs.Registry) ([]Spec, error) {
 // Resolved merges Defaults into every run, fills remaining zero fields
 // with the package defaults, assigns IDs and validates names — exactly
 // the RunSpec set Compile executes. Resolution is idempotent, so a
-// resolved RunSpec can be shipped to another process (the dist
-// coordinator publishes work items this way) and compiled there with
-// identical semantics.
+// resolved RunSpec compiles elsewhere with identical semantics.
 func (fs *FileSpec) Resolved() ([]RunSpec, error) {
 	if len(fs.Runs) == 0 {
 		return nil, fmt.Errorf("fleet: spec file has no runs")

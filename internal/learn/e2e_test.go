@@ -21,7 +21,7 @@ var testCache = fleet.NewCache(nil)
 var testTrain = fleet.TrainSpec{Days: 2, Seed: 777, DayOfYear: 80, FineEpochs: 10}
 
 // testPlanNet resolves the shared quick plan + base network.
-func testPlanNet(t *testing.T) (core.PlanConfig, *ann.Network) {
+func testPlanNet(t testing.TB) (core.PlanConfig, *ann.Network) {
 	t.Helper()
 	pc, net, err := fleet.NetworkFor(context.Background(), testCache, nil, "wam", 2, testTrain)
 	if err != nil {

@@ -75,3 +75,29 @@ func TestShadowDivergence(t *testing.T) {
 		t.Fatal("cleared candidate still scoring")
 	}
 }
+
+// BenchmarkShadowObserve is what shadow scoring adds to a served decide:
+// core.Decide followed by Observe with a candidate installed. Observe
+// only enqueues; the candidate's own forward pass runs on the shadow
+// worker, so it shows here as contention, not as per-op time.
+func BenchmarkShadowObserve(b *testing.B) {
+	pc, net := testPlanNet(b)
+	s := NewShadow(1024, nil)
+	defer s.Stop()
+	const key = "bench"
+	s.SetCandidate(key, pc, net, 1)
+	req := core.DecideRequest{
+		Voltages:       []float64{2.25, 2.25},
+		AccumulatedDMR: 0.02,
+		PeriodOfDay:    pc.Base.PeriodsPerDay / 2,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := core.Decide(pc, net, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Observe(key, "t0", req, d)
+	}
+}

@@ -359,64 +359,6 @@ func Mul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MulMat computes dst = m · b, allocating dst when nil. It returns dst.
-// Each output element is accumulated as a row·column dot product in ascending
-// index order, so dst.Row(i) is bit-identical to m.MulVec applied to the i-th
-// column of b — the property the batched forward pass relies on.
-func (m *Matrix) MulMat(b, dst *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MulMat dimension mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	if dst == nil {
-		dst = NewMatrix(m.Rows, b.Cols)
-	}
-	if dst.Rows != m.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulMat output mismatch: got %dx%d want %dx%d", dst.Rows, dst.Cols, m.Rows, b.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := 0; j < b.Cols; j++ {
-			sum := 0.0
-			for k, x := range mrow {
-				sum += x * b.Data[k*b.Cols+j]
-			}
-			drow[j] = sum
-		}
-	}
-	return dst
-}
-
-// MulMatT computes dst = m · bᵀ, allocating dst when nil. It returns dst.
-// With m holding one input per row and b a weight matrix (one unit per row),
-// dst.Row(r) equals b.MulVec(m.Row(r), nil) bit-for-bit: the inner loop
-// accumulates x[j]*w[j] in the same ascending-j order as MulVec, so batching
-// N rows through one call reproduces N sequential MulVec results exactly.
-func (m *Matrix) MulMatT(b, dst *Matrix) *Matrix {
-	if m.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulMatT dimension mismatch %dx%d · (%dx%d)ᵀ", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	if dst == nil {
-		dst = NewMatrix(m.Rows, b.Rows)
-	}
-	if dst.Rows != m.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MulMatT output mismatch: got %dx%d want %dx%d", dst.Rows, dst.Cols, m.Rows, b.Rows))
-	}
-	for i := 0; i < m.Rows; i++ {
-		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			sum := 0.0
-			for k, x := range brow {
-				sum += x * mrow[k]
-			}
-			drow[j] = sum
-		}
-	}
-	return dst
-}
-
 // AddOuterScaled adds s · u·wᵀ into m in place (rank-1 update) and returns m.
 func (m *Matrix) AddOuterScaled(s float64, u, w Vector) *Matrix {
 	mustLen(len(u), m.Rows, "AddOuterScaled rows")

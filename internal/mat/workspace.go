@@ -1,27 +1,22 @@
 package mat
 
-// Workspace is a reusable arena of scratch vectors and matrices for hot
-// paths that would otherwise allocate per call (DBN forward passes, batched
-// decide). Buffers handed out by Vec/Mat stay loaned until Reset, which
-// returns every loan to the free pool; steady-state use therefore allocates
-// only on the first pass through a given shape.
+// Workspace is a reusable arena of scratch vectors for hot paths that would
+// otherwise allocate per call (DBN forward passes). Buffers handed out by
+// Vec stay loaned until Reset, which returns every loan to the free pool;
+// steady-state use therefore allocates only on the first pass through a
+// given length.
 //
 // A nil *Workspace is valid and simply allocates fresh zeroed buffers, so
 // callers can thread an optional workspace without nil checks. A Workspace
 // is NOT safe for concurrent use; give each goroutine its own (or pool them).
 type Workspace struct {
 	freeVecs map[int][]Vector
-	freeMats map[[2]int][]*Matrix
 	loanVecs []Vector
-	loanMats []*Matrix
 }
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace {
-	return &Workspace{
-		freeVecs: make(map[int][]Vector),
-		freeMats: make(map[[2]int][]*Matrix),
-	}
+	return &Workspace{freeVecs: make(map[int][]Vector)}
 }
 
 // Vec returns a zeroed length-n vector owned by the workspace, valid until
@@ -45,30 +40,8 @@ func (ws *Workspace) Vec(n int) Vector {
 	return v
 }
 
-// Mat returns a zeroed rows×cols matrix owned by the workspace, valid until
-// Reset. On a nil workspace it allocates a fresh matrix.
-func (ws *Workspace) Mat(rows, cols int) *Matrix {
-	if ws == nil {
-		return NewMatrix(rows, cols)
-	}
-	key := [2]int{rows, cols}
-	free := ws.freeMats[key]
-	if len(free) == 0 {
-		m := NewMatrix(rows, cols)
-		ws.loanMats = append(ws.loanMats, m)
-		return m
-	}
-	m := free[len(free)-1]
-	ws.freeMats[key] = free[:len(free)-1]
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-	ws.loanMats = append(ws.loanMats, m)
-	return m
-}
-
 // Reset reclaims every buffer loaned since the previous Reset. Buffers
-// previously returned by Vec/Mat must not be used after Reset — they will be
+// previously returned by Vec must not be used after Reset — they will be
 // handed out again. Reset on a nil workspace is a no-op.
 func (ws *Workspace) Reset() {
 	if ws == nil {
@@ -78,9 +51,4 @@ func (ws *Workspace) Reset() {
 		ws.freeVecs[len(v)] = append(ws.freeVecs[len(v)], v)
 	}
 	ws.loanVecs = ws.loanVecs[:0]
-	for _, m := range ws.loanMats {
-		key := [2]int{m.Rows, m.Cols}
-		ws.freeMats[key] = append(ws.freeMats[key], m)
-	}
-	ws.loanMats = ws.loanMats[:0]
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 
@@ -49,12 +48,8 @@ type decideResponse struct {
 // handleDecide serves POST /v1/decide: one online DBN inference (features
 // → forward pass → predecessor closure → E_th/δ rules) against a network
 // trained once per (graph, h, train) configuration and cached for every
-// later call.
-//
-// With tenancy configured the request is first authenticated and charged
-// against the tenant's token bucket; with micro-batching configured the
-// validated request joins the coalescer and is answered with its row of a
-// batched forward pass — the wire response is byte-identical either way.
+// later call. With tenancy configured the request is first authenticated
+// and charged against the tenant's token bucket.
 func (s *Server) handleDecide(w http.ResponseWriter, req *http.Request) {
 	sw := s.m.decideSecs.Start()
 	defer sw.Stop()
@@ -93,9 +88,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	// Continuous learning: a promoted model from the registry overrides the
-	// offline-trained network for its lineage. The digest joins the batch
-	// key so a promotion (or rollback) mid-flight can never coalesce old-
-	// and new-model requests into one forward pass.
+	// offline-trained network for its lineage.
 	lineage := learn.Key(dr.Graph, dr.H, train)
 	modelDigest := ""
 	if s.learn != nil {
@@ -112,21 +105,11 @@ func (s *Server) handleDecide(w http.ResponseWriter, req *http.Request) {
 		PeriodOfDay:    dr.PeriodOfDay,
 		ActiveCap:      dr.ActiveCap,
 	}
-	// Validate before batching: a malformed request must be a 400 for its
-	// sender, never a poisoned row failing a whole batch.
-	if err := creq.Validate(pc, net); err != nil {
-		httpError(w, http.StatusBadRequest, "deciding: %v", err)
-		return
-	}
-
-	var d core.OnlineDecision
-	if s.batcher != nil {
-		d, err = s.batcher.submit(req.Context(), decideBatchKey(dr.Graph, dr.H, train)+"|"+modelDigest, pc, net, creq)
-	} else {
-		d, err = core.Decide(pc, net, creq)
-	}
+	// Decide fails only on what Validate rejects, so every error here is
+	// the sender's: a non-physical or mis-shaped request.
+	d, err := core.Decide(pc, net, creq)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "deciding: %v", err)
+		httpError(w, http.StatusBadRequest, "deciding: %v", err)
 		return
 	}
 	if s.learn != nil {
@@ -143,12 +126,4 @@ func (s *Server) handleDecide(w http.ResponseWriter, req *http.Request) {
 		Switch: d.Switch, Migrate: d.Migrate,
 		EThJoules: d.EThJoules, UsableJoules: d.UsableJoules,
 	})
-}
-
-// decideBatchKey identifies "the same network" for coalescing purposes:
-// fleet.NetworkFor caches one network per (graph, h, train) configuration,
-// so requests sharing this key share a network pointer and may share a
-// forward pass.
-func decideBatchKey(graph string, h int, train fleet.TrainSpec) string {
-	return fmt.Sprintf("%s|%d|%+v", graph, h, train)
 }

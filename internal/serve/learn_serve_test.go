@@ -5,7 +5,6 @@ import (
 	"context"
 	"net/http"
 	"testing"
-	"time"
 
 	"solarsched/internal/ann"
 	"solarsched/internal/fleet"
@@ -132,45 +131,5 @@ func TestDecideWithIdleLearnLoopBitIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatalf("idle learn loop changed the answer:\n%s\nvs\n%s", got, want)
-	}
-}
-
-// TestBatchedDecideSeesPromotion: with micro-batching on, the model digest
-// is part of the coalescing key, so a promotion flips batched answers too
-// — old- and new-model requests can never share a forward pass.
-func TestBatchedDecideSeesPromotion(t *testing.T) {
-	loop := newLearnLoop(t)
-	_, ts := newTestServer(t, Config{
-		Learn:       loop,
-		BatchWindow: time.Millisecond,
-		BatchMax:    8,
-	})
-
-	code, before := postJSON(t, ts.URL+"/v1/decide", testDecideBody)
-	if code != http.StatusOK {
-		t.Fatalf("decide: HTTP %d: %s", code, before)
-	}
-
-	_, baseNet, err := fleet.NetworkFor(context.Background(), testCache, nil, "wam", 2, testTrain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := learn.Key("wam", 2, testTrain)
-	cfg := baseNet.Config()
-	cfg.Seed = 424243
-	reg := loop.ModelRegistry()
-	v, err := reg.Register(key, ann.New(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Promote(key, v.Version); err != nil {
-		t.Fatal(err)
-	}
-	code, after := postJSON(t, ts.URL+"/v1/decide", testDecideBody)
-	if code != http.StatusOK {
-		t.Fatalf("decide after promotion: HTTP %d: %s", code, after)
-	}
-	if bytes.Equal(before, after) {
-		t.Fatal("batched decide kept answering with the pre-promotion model")
 	}
 }

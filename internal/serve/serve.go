@@ -77,15 +77,6 @@ type Config struct {
 	// synchronized clients that all hit a full queue spread their retries
 	// instead of stampeding back in the same second.
 	RetryAfterSeed uint64
-	// BatchWindow enables decide micro-batching when positive: concurrent
-	// POST /v1/decide requests against the same network are coalesced for
-	// up to this long and answered with one batched forward pass,
-	// bit-identical to solo calls. 0 (the default) serves each request
-	// with its own forward pass.
-	BatchWindow time.Duration
-	// BatchMax caps a batch; a full batch flushes before its window
-	// elapses. <= 1 means 32. Ignored unless BatchWindow > 0.
-	BatchMax int
 	// Tenants, when non-empty, turns on API-key tenancy for /v1/decide:
 	// requests must present a known key (X-API-Key or Bearer token), are
 	// accounted per tenant in the metrics, and are admission-limited by
@@ -149,8 +140,7 @@ type Server struct {
 	jitter   *rng.Source
 
 	tenants *tenantSet
-	batcher *decideBatcher // nil when micro-batching is off
-	learn   *learn.Loop    // nil when continuous learning is off
+	learn   *learn.Loop // nil when continuous learning is off
 
 	wg  sync.WaitGroup
 	mux *http.ServeMux
@@ -219,13 +209,6 @@ func New(cfg Config) *Server {
 	}
 	s.tenants = newTenantSet(cfg.Tenants, nil)
 	s.learn = cfg.Learn
-	if cfg.BatchWindow > 0 {
-		max := cfg.BatchMax
-		if max <= 1 {
-			max = 32
-		}
-		s.batcher = newDecideBatcher(cfg.BatchWindow, max, reg)
-	}
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/runs", s.handleSubmit)
 	s.route("GET /v1/runs/{id}", s.handleStatus)
@@ -322,25 +305,13 @@ func (s *Server) Ready() bool {
 	return s.started && !s.draining
 }
 
-// DrainBatches flushes every open decide micro-batch immediately and
-// switches /v1/decide to solo answers — called at the start of a SIGTERM
-// drain so in-flight waiters get their (bit-identical) decisions now
-// instead of waiting out the batch window against a closing listener.
-// No-op without micro-batching; idempotent.
-func (s *Server) DrainBatches() {
-	if s.batcher != nil {
-		s.batcher.drain()
-	}
-}
-
-// Shutdown drains the daemon: open decide micro-batches flush immediately,
-// new submissions are refused (503), every queued and in-flight job's
-// context is canceled — in-flight engines stop at the next period boundary
-// and flush a final checkpoint when a checkpoint directory is configured —
-// and the executor finishes bookkeeping for everything admitted. Returns
-// ctx.Err() if the drain outlives ctx.
+// Shutdown drains the daemon: new submissions are refused (503), every
+// queued and in-flight job's context is canceled — in-flight engines stop
+// at the next period boundary and flush a final checkpoint when a
+// checkpoint directory is configured — and the executor finishes
+// bookkeeping for everything admitted. Returns ctx.Err() if the drain
+// outlives ctx.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.DrainBatches()
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true

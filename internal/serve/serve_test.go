@@ -48,7 +48,7 @@ type reportWire struct {
 	} `json:"runs"`
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Cache == nil && cfg.Store == nil {
 		cfg.Cache = testCache

@@ -240,8 +240,8 @@ func decodeEnvelope(key string, data []byte) ([]byte, error) {
 // Seal wraps payload in the store's self-verifying envelope under an
 // arbitrary label. It is the same discipline entries use on disk —
 // header line with payload length + SHA-256, then the payload — exposed
-// so other on-disk protocols (the dist coordinator/worker lease files)
-// can detect torn or corrupt messages the same way the store does.
+// so other on-disk formats (the learn registry's manifest and telemetry
+// log) can detect torn or corrupt messages the same way the store does.
 func Seal(label string, payload []byte) ([]byte, error) {
 	return encodeEnvelope(label, payload)
 }

@@ -35,8 +35,8 @@ required=(
   Trace TimeBase TaskGraph CapBank PlanConfig Network
   NewProposed NewClairvoyant Train SizeBank
   MetricsRegistry FaultConfig
-  # online decision surface (single and batched)
-  Decide DecideBatch DecideRequest OnlineDecision
+  # online decision surface
+  Decide DecideRequest OnlineDecision
 )
 
 for sym in "${required[@]}"; do

@@ -13,9 +13,7 @@
 #      /v1/decide without a daemon restart, and rollback restores
 #      bit-identical answers (TestDecideServesPromotedModelWithoutRestart);
 #   5. an idle learning loop never perturbs serving — answers are
-#      byte-equal to a loop-less daemon's (TestDecideWithIdleLearnLoop…);
-#   6. SIGTERM drain flushes in-flight decide micro-batches immediately
-#      instead of waiting out the window (TestDrainFlushesOpenBatch…).
+#      byte-equal to a loop-less daemon's (TestDecideWithIdleLearnLoop…).
 # The whole learn package runs under -race so the telemetry flusher,
 # shadow worker, and trainer goroutines are exercised with checking on.
 set -euo pipefail
@@ -24,7 +22,7 @@ cd "$(dirname "$0")/.."
 go test -race -timeout 15m -count=1 ./internal/learn/
 
 go test -race -timeout 10m -count=1 \
-  -run 'TestDecideServesPromotedModelWithoutRestart|TestDecideWithIdleLearnLoopBitIdentical|TestBatchedDecideSeesPromotion|TestDrainFlushesOpenBatchImmediately' \
+  -run 'TestDecideServesPromotedModelWithoutRestart|TestDecideWithIdleLearnLoopBitIdentical' \
   ./internal/serve/
 
 echo "learn_smoke: ok"

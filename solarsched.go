@@ -399,12 +399,6 @@ func Decide(pc PlanConfig, net *Network, req DecideRequest) (OnlineDecision, err
 	return core.Decide(pc, net, req)
 }
 
-// DecideBatch answers many requests against one network with a single
-// batched forward pass; row i is bit-identical to Decide(pc, net, reqs[i]).
-func DecideBatch(pc PlanConfig, net *Network, reqs []DecideRequest) ([]OnlineDecision, error) {
-	return core.DecideBatch(pc, net, reqs)
-}
-
 // NewClairvoyant returns the "Optimal" upper bound: the long-term DP fed
 // the true future solar powers.
 func NewClairvoyant(pc PlanConfig, tr *Trace, predictionHours float64) (Scheduler, error) {
