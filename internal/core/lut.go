@@ -17,13 +17,21 @@ import (
 // The table is dense, the tabular form of a value iteration over quantized
 // stored energy: profiles are interned as small ids, and entry (profile,
 // capacitor, bucket) sits at index (profile·H+capacitor)·B+bucket, so each
-// profile adds a block of H·B entries.
+// profile adds a block of H·B entries. PlanHorizon's DP, which looks up
+// every entry of a period's profile in the same row, builds a block's
+// missing entries together (buildBlock); Options builds one entry.
 type LUT struct {
 	pc      PlanConfig
 	entries []lutEntry
-	size    int           // built entries
+	size    int           // looked-up or restored entries
 	nexts   []int         // storage the entries' next slices are carved from
 	solver  *periodSolver // builds entries; owns the period scratch
+
+	// buildBlock's scratch: the start state and table index of each
+	// entry it builds, and the frontiers the solver returns.
+	blockStarts []laneStart
+	blockIdx    []int
+	blockOpts   [][]Option
 
 	// Profile interning. byBuckets maps ProfileKey's (energy, peak)
 	// buckets to an id, so a known profile costs no allocation; byName
@@ -38,7 +46,8 @@ type LUT struct {
 	transfer []int
 	plan     planScratch // PlanHorizon's tables, reused across calls
 
-	// Builds counts period-optimizer invocations (cache misses); Lookups
+	// Builds counts entries at their first lookup (cache misses), whether
+	// that lookup built the entry or an earlier block build did; Lookups
 	// counts queries. Their ratio shows how much the LUT compresses.
 	Builds, Lookups int
 
@@ -53,11 +62,15 @@ type LUT struct {
 // lutEntry is one slot of the table: once built, the Pareto options and,
 // per option, the voltage bucket it ends the period in
 // (next[i] = BucketOf(capacitor, opts[i].FinalV)), which is all the DP
-// needs to price an option.
+// needs to price an option. An entry a block build made is seen only from
+// its first lookup: until then it counts in neither Builds, the hit and
+// miss counters, Size nor a snapshot, so the table reads as if each entry
+// were built at its first lookup.
 type lutEntry struct {
 	opts  []Option
 	next  []int
 	built bool
+	seen  bool // looked up or restored
 }
 
 // nextChunk is how many next-bucket slots the table allocates at a time.
@@ -71,7 +84,7 @@ func NewLUT(pc PlanConfig) *LUT {
 	reg := pc.Observer
 	l := &LUT{
 		pc:        pc,
-		solver:    newPeriodSolver(pc).withTraces(),
+		solver:    newPeriodSolver(pc),
 		byBuckets: make(map[[2]int]int),
 		byName:    make(map[string]int),
 		mHits:     reg.Counter("core_lut_hits_total"),
@@ -204,17 +217,18 @@ func (l *LUT) BucketV(capIdx, bucket int) float64 {
 }
 
 // Options returns the Pareto options for (capacitor, voltage bucket, solar
-// profile), building the entry on first use. The powers of the first period
-// seen with a given profile key become the representative profile.
+// profile), building the entry alone on first use. The powers of the
+// first period seen with a given profile key become the representative
+// profile.
 func (l *LUT) Options(capIdx, vBucket int, powers []float64) []Option {
 	l.checkIndex(capIdx, vBucket)
-	return l.entry(l.profileID(powers), capIdx, vBucket, powers).opts
+	return l.entry(l.profileID(powers), capIdx, vBucket, powers, false).opts
 }
 
 // OptionsByKey is Options with the profile key precomputed.
 func (l *LUT) OptionsByKey(profile string, capIdx, vBucket int, powers []float64) []Option {
 	l.checkIndex(capIdx, vBucket)
-	return l.entry(l.intern(profile), capIdx, vBucket, powers).opts
+	return l.entry(l.intern(profile), capIdx, vBucket, powers, false).opts
 }
 
 func (l *LUT) checkIndex(capIdx, vBucket int) {
@@ -236,26 +250,61 @@ func (l *LUT) indexErr(capIdx, vBucket int) error {
 }
 
 // entry returns the entry of (profile id, capacitor, bucket), building it
-// from powers on first use. The pointer is valid until the next intern.
-func (l *LUT) entry(id, capIdx, vBucket int, powers []float64) *lutEntry {
+// from powers on first use: with block, together with every other unbuilt
+// entry of the profile's block. The entry counts as a miss (and a build)
+// at its first lookup and as a hit after. The pointer is valid until the
+// next intern.
+func (l *LUT) entry(id, capIdx, vBucket int, powers []float64, block bool) *lutEntry {
 	l.Lookups++
 	e := &l.entries[(id*len(l.pc.Capacitances)+capIdx)*l.pc.VBuckets+vBucket]
-	if e.built {
+	if e.seen {
 		l.mHits.Inc()
 		return e
 	}
+	if !e.built {
+		if block {
+			l.buildBlock(id, powers)
+		} else {
+			l.fill(e, capIdx, l.solver.frontier(l.pc.Capacitances[capIdx], l.BucketV(capIdx, vBucket), powers))
+		}
+	}
+	e.seen = true
+	l.size++
 	l.Builds++
 	l.mMisses.Inc()
-	l.fill(e, capIdx, l.solver.frontier(l.pc.Capacitances[capIdx], l.BucketV(capIdx, vBucket), powers))
 	l.mEntries.Set(float64(l.size))
 	return e
 }
 
+// buildBlock builds every unbuilt entry of profile id's block from powers:
+// one solver run per closed subset, with one capacitor lane per entry.
+// Each entry gets the frontier a build of it alone would give, bit for
+// bit: the same start state, powers and subsets.
+func (l *LUT) buildBlock(id int, powers []float64) {
+	H, B := len(l.pc.Capacitances), l.pc.VBuckets
+	base := id * H * B
+	starts, idx := l.blockStarts[:0], l.blockIdx[:0]
+	for c, capC := range l.pc.Capacitances {
+		for b := 0; b < B; b++ {
+			if !l.entries[base+c*B+b].built {
+				starts = append(starts, laneStart{capC, l.BucketV(c, b)})
+				idx = append(idx, c*B+b)
+			}
+		}
+	}
+	l.blockStarts, l.blockIdx = starts, idx
+	if cap(l.blockOpts) < len(starts) {
+		l.blockOpts = make([][]Option, len(starts))
+	}
+	opts := l.blockOpts[:len(starts)]
+	l.solver.frontiers(starts, powers, opts)
+	for k, i := range idx {
+		l.fill(&l.entries[base+i], i/B, opts[k])
+	}
+}
+
 // fill makes e the built entry of opts on capacitor capIdx.
 func (l *LUT) fill(e *lutEntry, capIdx int, opts []Option) {
-	if !e.built {
-		l.size++
-	}
 	if cap(l.nexts)-len(l.nexts) < len(opts) {
 		l.nexts = make([]int, 0, max(nextChunk, len(opts)))
 	}
@@ -268,7 +317,7 @@ func (l *LUT) fill(e *lutEntry, capIdx int, opts []Option) {
 	*e = lutEntry{opts: opts, next: next, built: true}
 }
 
-// Size returns the number of materialized entries.
+// Size returns the number of entries looked up or restored.
 func (l *LUT) Size() int { return l.size }
 
 // LUTEntry is one memoized entry in serialized form, for checkpointing.
@@ -279,17 +328,17 @@ type LUTEntry struct {
 	Options []Option `json:"options"`
 }
 
-// SnapshotEntries returns every memoized entry, sorted by key so equal
-// tables serialize identically. The memo is genuine cross-period state:
-// the first profile seen with a given key becomes the bucket's
-// representative (ProfileKey), so a table rebuilt from a different query
-// order holds different options. A resumed run must inherit the table,
-// not regrow it.
+// SnapshotEntries returns every entry looked up or restored, sorted by
+// key so equal tables serialize identically. The memo is genuine
+// cross-period state: the first profile seen with a given key becomes the
+// bucket's representative (ProfileKey), so a table rebuilt from a
+// different query order holds different options. A resumed run must
+// inherit the table, not regrow it.
 func (l *LUT) SnapshotEntries() []LUTEntry {
 	H, B := len(l.pc.Capacitances), l.pc.VBuckets
 	out := make([]LUTEntry, 0, l.size)
 	for i := range l.entries {
-		if e := &l.entries[i]; e.built {
+		if e := &l.entries[i]; e.seen {
 			out = append(out, LUTEntry{Profile: l.names[i/(H*B)], CapIdx: i / B % H, VBucket: i % B, Options: e.opts})
 		}
 	}
@@ -324,7 +373,12 @@ func (l *LUT) RestoreEntries(entries []LUTEntry) error {
 	H, B := len(l.pc.Capacitances), l.pc.VBuckets
 	for _, e := range entries {
 		id := l.intern(e.Profile)
-		l.fill(&l.entries[(id*H+e.CapIdx)*B+e.VBucket], e.CapIdx, e.Options)
+		le := &l.entries[(id*H+e.CapIdx)*B+e.VBucket]
+		if !le.seen {
+			l.size++
+		}
+		l.fill(le, e.CapIdx, e.Options)
+		le.seen = true
 	}
 	l.mEntries.Set(float64(l.size))
 	return nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"solarsched/internal/obs"
@@ -85,43 +84,40 @@ type Option struct {
 // the 2^N enumeration is exact — the paper's O(2^(N·Ns)) search collapsed
 // by the observation that within a period only the task *set* matters once
 // the fine-grained stage is fixed. PeriodOptions builds its scratch for one
-// call; a LUT keeps it across builds and replays each subset's recorded
-// task trajectory across the start voltages and capacitors it asks for.
+// call; a LUT keeps it across builds and builds a solar profile's entries
+// together, one capacitor lane per entry.
 func PeriodOptions(capC, v0 float64, powers []float64, pc PlanConfig) []Option {
 	return newPeriodSolver(pc).frontier(capC, v0, powers)
 }
 
-// periodSolver is PeriodOptions over scratch that outlives one call: the
-// graph's closed subsets, one instance of each fine-grained stage, one
-// capacitor, one period simulator and (withTraces) one recorded trajectory
-// per subset. Once warm, a call allocates only the returned frontier. It
-// serves one goroutine at a time.
+// periodSolver is PeriodOptions over scratch that outlives one call, for
+// many start states at once: the graph's closed subsets, one instance of
+// each fine-grained stage, one period simulator, and per lane (start
+// state) a capacitor and the best option of each miss count. Once warm, a
+// call allocates only the frontiers it returns. It serves one goroutine at
+// a time.
 type periodSolver struct {
 	pc      PlanConfig
 	subsets [][]bool
 	fine    finePolicies
-	cap     supercap.Capacitor
 	sim     *sim.PeriodSim
 
-	// traces[i] is subset i's task trajectory under the slot powers in
-	// powers, recorded at some earlier capacitor and start voltage. A
-	// build replays it and simulates the subset in full only when its
-	// brown-out trim differs (sim.PeriodTrace). Nil without withTraces.
-	traces []sim.PeriodTrace
-	powers []float64
+	caps   []supercap.Capacitor // one per lane
+	starts []laneStart          // frontier's one lane
+	outs   [][]Option           // frontier's one result
 
-	// Per miss count: the first option with the highest final voltage,
-	// and whether that count occurred (later: whether it is kept).
+	// Lane i's first option with the highest final voltage per miss
+	// count, at best[i*(N+1)+m], and whether that count occurred (later:
+	// whether it is kept).
 	best  []Option
 	found []bool
 
-	mReplays, mFull *obs.Counter
+	mLanes, mBranches *obs.Counter
 }
 
-// maxTraceLoads bounds the prefix loads a solver's traces may hold (8 MiB):
-// a graph near maxSubsetTasks with few dependences has tens of thousands
-// of closed subsets, and its solver then simulates every subset in full.
-const maxTraceLoads = 1 << 20
+// laneStart is one start state of a solver run: a capacitor of c farads
+// at v volts.
+type laneStart struct{ c, v float64 }
 
 func newPeriodSolver(pc PlanConfig) *periodSolver {
 	g := pc.Graph
@@ -130,34 +126,33 @@ func newPeriodSolver(pc PlanConfig) *periodSolver {
 		subsets: ClosedSubsets(g),
 		fine:    newFinePolicies(g),
 		sim:     sim.NewPeriodSim(g),
-		best:    make([]Option, g.N()+1),
-		found:   make([]bool, g.N()+1),
+		starts:  make([]laneStart, 1),
+		outs:    make([][]Option, 1),
 	}
 	ps.setObserver(pc.Observer)
-	return ps
-}
-
-// withTraces gives the solver one trace per subset, unless they would
-// exceed maxTraceLoads. PeriodOptions goes without: one build simulates
-// each subset once, so its traces would be storage never replayed.
-func (ps *periodSolver) withTraces() *periodSolver {
-	g, slots := ps.pc.Graph, ps.pc.Base.SlotsPerPeriod
-	if len(ps.subsets)*slots*(g.NumNVPs+1) <= maxTraceLoads {
-		ps.traces = sim.NewPeriodTraces(g, len(ps.subsets), slots)
-		ps.powers = make([]float64, 0, slots)
-	}
 	return ps
 }
 
 // setObserver resolves the solver's counters against reg (nil disables
 // them).
 func (ps *periodSolver) setObserver(reg *obs.Registry) {
-	ps.mReplays = reg.Counter("core_period_sims_total", obs.L("path", "replay"))
-	ps.mFull = reg.Counter("core_period_sims_total", obs.L("path", "full"))
+	ps.mLanes = reg.Counter("core_period_lanes_total")
+	ps.mBranches = reg.Counter("core_period_branches_total")
 }
 
-// frontier is PeriodOptions on the solver's scratch.
+// frontier is PeriodOptions on the solver's scratch: frontiers with one
+// lane.
 func (ps *periodSolver) frontier(capC, v0 float64, powers []float64) []Option {
+	ps.starts[0] = laneStart{capC, v0}
+	ps.frontiers(ps.starts, powers, ps.outs)
+	return ps.outs[0]
+}
+
+// frontiers sets out[i] to PeriodOptions' frontier for start state
+// starts[i] under powers. It simulates each closed subset once, with one
+// capacitor lane per start state (sim.PeriodSim.RunLanes), and carves
+// every frontier from one allocation.
+func (ps *periodSolver) frontiers(starts []laneStart, powers []float64, out [][]Option) {
 	pc := ps.pc
 	g := pc.Graph
 	dt := pc.Base.SlotSeconds
@@ -166,88 +161,72 @@ func (ps *periodSolver) frontier(capC, v0 float64, powers []float64) []Option {
 		harvest += p
 	}
 	harvest *= dt
-	ps.usePowers(powers)
 
-	best, found := ps.best, ps.found
-	for m := range found {
-		found[m] = false
-	}
-	replays := 0
-	for i, te := range ps.subsets {
+	M := g.N() + 1
+	caps, best, found := ps.lanes(len(starts))
+	clear(found)
+	branches := 0
+	for _, te := range ps.subsets {
 		alpha := Alpha(g, te, harvest)
-		var tr *sim.PeriodTrace
-		if ps.traces != nil {
-			tr = &ps.traces[i]
+		// Assign the fields, not the struct, so each lane keeps its
+		// curve memo: η_cycle(C) is then taken once per lane, not per
+		// subset.
+		for i, s := range starts {
+			caps[i].C, caps[i].V, caps[i].P = s.c, s.v, pc.Params
 		}
-		out, ok := tr.Replay(ps.resetCap(capC, v0), powers, dt, pc.DirectEff)
-		if ok {
-			replays++
-		} else {
-			out = ps.sim.Record(tr, ps.resetCap(capC, v0), powers, te, ps.fine.pick(alpha, pc.Delta), dt, pc.DirectEff)
-		}
-		if m := out.Missed; !found[m] || out.FinalV > best[m].FinalV {
-			best[m] = Option{
-				Misses:      m,
-				Te:          te,
-				Alpha:       alpha,
-				CapConsumed: out.CapConsumed,
-				FinalV:      out.FinalV,
+		outs := ps.sim.RunLanes(caps, powers, te, ps.fine.pick(alpha, pc.Delta), dt, pc.DirectEff)
+		branches += ps.sim.Branches()
+		for i := range outs {
+			o := &outs[i]
+			k := i*M + o.Missed
+			if !found[k] || o.FinalV > best[k].FinalV {
+				best[k] = Option{
+					Misses:      o.Missed,
+					Te:          te,
+					Alpha:       alpha,
+					CapConsumed: o.CapConsumed,
+					FinalV:      o.FinalV,
+				}
+				found[k] = true
 			}
-			found[m] = true
 		}
 	}
-	ps.mReplays.Add(float64(replays))
-	ps.mFull.Add(float64(len(ps.subsets) - replays))
+	ps.mLanes.Add(float64(len(ps.subsets) * len(starts)))
+	ps.mBranches.Add(float64(branches))
 
-	// Pareto cut, by misses ascending: an option with more misses must buy
-	// strictly more final energy to be worth keeping.
-	kept, bestV := 0, -1.0
-	for m := range best {
-		if found[m] && best[m].FinalV > bestV {
-			bestV = best[m].FinalV
-			kept++
-		} else {
-			found[m] = false
+	// Pareto cut per lane, by misses ascending: an option with more
+	// misses must buy strictly more final energy to be worth keeping.
+	kept := 0
+	for i := range starts {
+		bestV := -1.0
+		for k := i * M; k < (i+1)*M; k++ {
+			if found[k] && best[k].FinalV > bestV {
+				bestV = best[k].FinalV
+				kept++
+			} else {
+				found[k] = false
+			}
 		}
 	}
 	options := make([]Option, 0, kept)
-	for m := range best {
-		if found[m] {
-			options = append(options, best[m])
-		}
-	}
-	return options
-}
-
-// resetCap puts the solver's capacitor at capC farads and v0 volts. It
-// assigns the fields, not the struct, so the capacitor keeps its curve
-// memo: η_cycle(capC) is then taken once per capacitor, not per subset.
-func (ps *periodSolver) resetCap(capC, v0 float64) *supercap.Capacitor {
-	ps.cap.C, ps.cap.V, ps.cap.P = capC, v0, ps.pc.Params
-	return &ps.cap
-}
-
-// usePowers makes powers the traces' slot powers. A trajectory holds only
-// for the exact powers it was recorded under, so every trace is forgotten
-// when powers differ from the last build's in any bit.
-func (ps *periodSolver) usePowers(powers []float64) {
-	if ps.traces == nil {
-		return
-	}
-	if len(powers) == len(ps.powers) {
-		same := true
-		for i, p := range powers {
-			if math.Float64bits(p) != math.Float64bits(ps.powers[i]) {
-				same = false
-				break
+	for i := range starts {
+		n := len(options)
+		for k := i * M; k < (i+1)*M; k++ {
+			if found[k] {
+				options = append(options, best[k])
 			}
 		}
-		if same {
-			return
-		}
+		out[i] = options[n:len(options):len(options)]
 	}
-	ps.powers = append(ps.powers[:0], powers...)
-	for i := range ps.traces {
-		ps.traces[i].Forget()
+}
+
+// lanes returns the solver's per-lane scratch sized for n lanes.
+func (ps *periodSolver) lanes(n int) ([]supercap.Capacitor, []Option, []bool) {
+	M := ps.pc.Graph.N() + 1
+	if len(ps.caps) < n {
+		ps.caps = make([]supercap.Capacitor, n)
+		ps.best = make([]Option, n*M)
+		ps.found = make([]bool, n*M)
 	}
+	return ps.caps[:n], ps.best[:n*M], ps.found[:n*M]
 }

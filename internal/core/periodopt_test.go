@@ -218,15 +218,15 @@ func sameMask(a, b []bool) bool {
 	return true
 }
 
-// The LUT's solver replays each subset's recorded trajectory across the
-// start voltages and capacitors of a build sequence. Whatever order the DP
-// asks in, every frontier must equal the plain reference bit for bit, and
-// the sequence must take both paths: replays, and full simulations beyond
-// the first recording of each subset (divergences).
-func TestReplayedFrontiersMatchReference(t *testing.T) {
+// PlanHorizon's DP builds a solar profile's entries as one block, one
+// capacitor lane per entry. Every entry of a block must equal the plain
+// reference bit for bit — whether the DP built the whole block, or
+// RestoreEntries filled part of it and a later build completed it — and
+// the table must count each entry at its first lookup, not when its block
+// was built.
+func TestBlockBuildsMatchReference(t *testing.T) {
 	tb := solar.DefaultTimeBase(2)
 	tr := solar.MustGenerate(solar.GenConfig{Base: tb, Seed: 29})
-	r := rng.New(77)
 	for _, c := range []struct {
 		g      *task.Graph
 		period int // a morning period: the store carries part of the load
@@ -234,8 +234,8 @@ func TestReplayedFrontiersMatchReference(t *testing.T) {
 		{task.WAM(), 17}, {task.ECG(), 16}, {task.SHM(), 17}, {task.RandomCase(1), 18},
 	} {
 		g := c.g
-		reg := obs.NewRegistry()
 		pc := DefaultPlanConfig(g, tb, []float64{2, 10, 50})
+		reg := obs.NewRegistry()
 		pc.Observer = reg
 		powers := tr.PeriodPowers(0, c.period)
 		harvest := 0.0
@@ -244,55 +244,105 @@ func TestReplayedFrontiersMatchReference(t *testing.T) {
 		}
 		harvest *= pc.Base.SlotSeconds
 		closed := ClosedSubsets(g)
+		H, B := len(pc.Capacitances), pc.VBuckets
 
-		type query struct{ capC, v0 float64 }
-		var queries []query
 		l := NewLUT(pc)
+		want := make([][]Option, H*B)
 		for capIdx, capC := range pc.Capacitances {
-			vs := []float64{pc.Params.VLow, pc.Params.VHigh}
-			for b := 0; b < pc.VBuckets; b++ {
-				vs = append(vs, l.BucketV(capIdx, b))
-			}
-			for i := 0; i < 8; i++ {
-				vs = append(vs, r.Range(pc.Params.VLow, pc.Params.VHigh))
-			}
-			sort.Float64s(vs)
-			for _, v := range vs {
-				queries = append(queries, query{capC, v})
+			for b := 0; b < B; b++ {
+				want[capIdx*B+b] = periodOptionsReference(capC, l.BucketV(capIdx, b), powers, pc)
 			}
 		}
-		want := make([][]Option, len(queries))
-		for i, q := range queries {
-			want[i] = periodOptionsReference(q.capC, q.v0, powers, pc)
-			checkFrontier(t, g, closed, harvest, want[i])
-		}
-		shuffled := make([]int, len(queries))
-		for i := range shuffled {
-			shuffled[i] = i
-		}
-		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		ascending := make([]int, len(queries))
-		for i := range ascending {
-			ascending[i] = i
-		}
-		for name, order := range map[string][]int{"ascending": ascending, "shuffled": shuffled} {
-			ps := newPeriodSolver(pc).withTraces()
-			for _, i := range order {
-				q := queries[i]
-				got := ps.frontier(q.capC, q.v0, powers)
-				if !sameOptions(got, want[i]) {
-					t.Fatalf("%s %s C=%g V=%v: frontier %+v, reference %+v", g.Name, name, q.capC, q.v0, got, want[i])
+		id := l.profileID(powers)
+		checkBlock := func(l *LUT, what string) {
+			t.Helper()
+			for i := range want {
+				e := &l.entries[id*H*B+i]
+				if !e.built {
+					t.Fatalf("%s %s: entry (%d,%d) not built", g.Name, what, i/B, i%B)
 				}
-				checkFrontier(t, g, closed, harvest, got)
+				if !sameOptions(e.opts, want[i]) {
+					t.Fatalf("%s %s: entry (%d,%d) %+v, reference %+v", g.Name, what, i/B, i%B, e.opts, want[i])
+				}
+				checkFrontier(t, g, closed, harvest, e.opts)
+				for k, o := range e.opts {
+					if e.next[k] != l.BucketOf(i/B, o.FinalV) {
+						t.Fatalf("%s %s: entry (%d,%d) option %d next bucket %d, want %d",
+							g.Name, what, i/B, i%B, k, e.next[k], l.BucketOf(i/B, o.FinalV))
+					}
+				}
 			}
 		}
-		replays := reg.Counter("core_period_sims_total", obs.L("path", "replay")).Value()
-		full := reg.Counter("core_period_sims_total", obs.L("path", "full")).Value()
-		t.Logf("%s: %d queries, %v replays, %v full simulations over %d subsets",
-			g.Name, len(queries), replays, full, len(closed))
-		if replays == 0 || full <= float64(2*len(closed)) {
-			t.Errorf("%s: %v replays and %v full simulations; the queries must exercise replay and divergence",
-				g.Name, replays, full)
+		counts := func(l *LUT, reg *obs.Registry, builds, lookups, size int, what string) {
+			t.Helper()
+			hits := reg.Counter("core_lut_hits_total").Value()
+			misses := reg.Counter("core_lut_misses_total").Value()
+			if l.Builds != builds || l.Lookups != lookups || l.Size() != size || len(l.SnapshotEntries()) != size ||
+				misses != float64(builds) || hits != float64(lookups-builds) {
+				t.Fatalf("%s %s: Builds %d Lookups %d Size %d snapshot %d misses %v hits %v; want %d builds of %d lookups, size %d",
+					g.Name, what, l.Builds, l.Lookups, l.Size(), len(l.SnapshotEntries()), misses, hits, builds, lookups, size)
+			}
 		}
+
+		// A one-period plan off a day boundary builds the profile's
+		// block at its first lookup and looks up every entry once; its
+		// only other lane run is the first period's exact frontier.
+		PlanHorizon(l, [][]float64{powers}, 3, 0, pc.Params.VLow)
+		counts(l, reg, H*B, H*B, H*B, "plan")
+		checkBlock(l, "plan")
+		if lanes := reg.Counter("core_period_lanes_total").Value(); lanes != float64(len(closed)*(H*B+1)) {
+			t.Fatalf("%s: the plan ran %v lanes, want %d subsets x (%d entries + the exact first period)",
+				g.Name, lanes, len(closed), H*B)
+		}
+
+		// One DP lookup builds the whole block but counts one entry.
+		reg1 := obs.NewRegistry()
+		pc.Observer = reg1
+		l1 := NewLUT(pc)
+		if id1 := l1.profileID(powers); id1 != id {
+			t.Fatalf("%s: profile id %d in a fresh table, %d before", g.Name, id1, id)
+		}
+		l1.entry(id, 1, B/2, powers, true)
+		counts(l1, reg1, 1, 1, 1, "first lookup")
+		checkBlock(l1, "block build")
+		l1.entry(id, 1, B/2, powers, true)
+		counts(l1, reg1, 1, 2, 1, "repeated lookup")
+		l1.entry(id, 0, 0, powers, true)
+		counts(l1, reg1, 2, 3, 2, "second entry")
+		if lanes := reg1.Counter("core_period_lanes_total").Value(); lanes != float64(len(closed)*H*B) {
+			t.Fatalf("%s: three lookups ran %v lanes, want one block build of %d subsets x %d entries",
+				g.Name, lanes, len(closed), H*B)
+		}
+
+		// A block restored in part builds only its missing entries.
+		snap := l.SnapshotEntries()
+		var part []LUTEntry
+		for i, e := range snap {
+			if i%3 != 0 {
+				part = append(part, e)
+			}
+		}
+		reg2 := obs.NewRegistry()
+		pc.Observer = reg2
+		l2 := NewLUT(pc)
+		if err := l2.RestoreEntries(part); err != nil {
+			t.Fatal(err)
+		}
+		counts(l2, reg2, 0, 0, len(part), "restored")
+		id2 := l2.profileID(powers)
+		if id2 != id {
+			t.Fatalf("%s: profile id %d in a fresh table, %d before", g.Name, id2, id)
+		}
+		missing := H*B - len(part)
+		l2.entry(id, snap[0].CapIdx, snap[0].VBucket, powers, true) // not restored
+		counts(l2, reg2, 1, 1, len(part)+1, "restored, first missing lookup")
+		if lanes := reg2.Counter("core_period_lanes_total").Value(); lanes != float64(len(closed)*missing) {
+			t.Fatalf("%s: completing a block with %d missing entries ran %v lanes, want %d",
+				g.Name, missing, lanes, len(closed)*missing)
+		}
+		checkBlock(l2, "completed block")
+		t.Logf("%s: %d subsets, block of %d entries, %v branches for %v lanes",
+			g.Name, len(closed), H*B, reg.Counter("core_period_branches_total").Value(),
+			reg.Counter("core_period_lanes_total").Value())
 	}
 }

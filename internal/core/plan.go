@@ -86,7 +86,7 @@ func planHorizon(l *LUT, powers [][]float64, startPeriodOfDay, startCap int, sta
 				bestVal := 0.0
 				bestChoice := choice{cap: -1}
 				consider := func(c2, b2 int) {
-					e := l.entry(ids[t], c2, b2, powers[t])
+					e := l.entry(ids[t], c2, b2, powers[t], true)
 					cost := value[t+1][c2*B : (c2+1)*B]
 					for oi := range e.opts {
 						expansions++
@@ -132,7 +132,7 @@ func planHorizon(l *LUT, powers [][]float64, startPeriodOfDay, startCap int, sta
 			b = l.transferTo(c, b, ch.cap)
 			c = ch.cap
 		}
-		e := l.entry(ids[t], c, b, powers[t])
+		e := l.entry(ids[t], c, b, powers[t], true)
 		o := e.opts[ch.opt]
 		res.Decisions[t] = Decision{
 			CapIdx: c, Te: o.Te, Alpha: o.Alpha, PredictedMisses: o.Misses,

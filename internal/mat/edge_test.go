@@ -12,25 +12,18 @@ func TestNewMatrixNegativePanics(t *testing.T) {
 }
 
 func TestNewMatrixFromEmpty(t *testing.T) {
-	m := NewMatrixFrom(nil)
+	m := newMatrixFrom(nil)
 	if m.Rows != 0 || m.Cols != 0 {
 		t.Fatalf("empty matrix = %dx%d", m.Rows, m.Cols)
 	}
 }
 
 func TestMatrixClone(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{1, 2}, {3, 4}})
+	a := newMatrixFrom([][]float64{{1, 2}, {3, 4}})
 	b := a.Clone()
 	b.Set(0, 0, 99)
 	if a.At(0, 0) != 1 {
 		t.Fatal("Clone shares storage")
-	}
-}
-
-func TestVectorMap(t *testing.T) {
-	v := Vector{1, 4, 9}.Map(func(x float64) float64 { return x * 2 })
-	if v[2] != 18 {
-		t.Fatalf("Map = %v", v)
 	}
 }
 
@@ -61,14 +54,8 @@ func TestArgMaxPanicsEmpty(t *testing.T) {
 	Vector{}.ArgMax()
 }
 
-func TestTanh(t *testing.T) {
-	if Tanh(0) != 0 {
-		t.Fatal("Tanh(0)")
-	}
-}
-
 func TestMulVecIntoDst(t *testing.T) {
-	m := NewMatrixFrom([][]float64{{2, 0}, {0, 3}})
+	m := newMatrixFrom([][]float64{{2, 0}, {0, 3}})
 	dst := NewVector(2)
 	out := m.MulVec(Vector{1, 1}, dst)
 	if &out[0] != &dst[0] || out[0] != 2 || out[1] != 3 {

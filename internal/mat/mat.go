@@ -1,7 +1,6 @@
 // Package mat implements the small dense linear algebra needed by the
 // artificial neural network in this repository: vectors, row-major matrices,
-// matrix-vector and matrix-matrix products, outer products, and elementwise
-// maps. It is intentionally tiny — the DBN in the paper has a few dozen
+// matrix-vector products, outer products and the activation functions. It is intentionally tiny — the DBN in the paper has a few dozen
 // units per layer, so a cache-blocked BLAS would be wasted effort — but it
 // is dimension-checked everywhere so shape bugs fail fast.
 package mat
@@ -61,60 +60,6 @@ func (v Vector) AddScaled(s float64, w Vector) Vector {
 	return v
 }
 
-// AddTo computes dst = v + w without touching v, allocating dst when nil.
-// It returns dst. dst may alias v or w. Panics on length mismatch.
-func (v Vector) AddTo(w, dst Vector) Vector {
-	mustLen(len(v), len(w), "Vector.AddTo")
-	if dst == nil {
-		dst = NewVector(len(v))
-	}
-	mustLen(len(dst), len(v), "Vector.AddTo output")
-	for i := range v {
-		dst[i] = v[i] + w[i]
-	}
-	return dst
-}
-
-// SubTo computes dst = v − w without touching v, allocating dst when nil.
-// It returns dst. dst may alias v or w.
-func (v Vector) SubTo(w, dst Vector) Vector {
-	mustLen(len(v), len(w), "Vector.SubTo")
-	if dst == nil {
-		dst = NewVector(len(v))
-	}
-	mustLen(len(dst), len(v), "Vector.SubTo output")
-	for i := range v {
-		dst[i] = v[i] - w[i]
-	}
-	return dst
-}
-
-// ScaleTo computes dst = s·v without touching v, allocating dst when nil.
-// It returns dst. dst may alias v.
-func (v Vector) ScaleTo(s float64, dst Vector) Vector {
-	if dst == nil {
-		dst = NewVector(len(v))
-	}
-	mustLen(len(dst), len(v), "Vector.ScaleTo output")
-	for i := range v {
-		dst[i] = s * v[i]
-	}
-	return dst
-}
-
-// MapTo writes f applied to every element of v into dst without touching v,
-// allocating dst when nil. It returns dst. dst may alias v.
-func (v Vector) MapTo(f func(float64) float64, dst Vector) Vector {
-	if dst == nil {
-		dst = NewVector(len(v))
-	}
-	mustLen(len(dst), len(v), "Vector.MapTo output")
-	for i := range v {
-		dst[i] = f(v[i])
-	}
-	return dst
-}
-
 // Dot returns the inner product of v and w.
 func (v Vector) Dot(w Vector) float64 {
 	mustLen(len(v), len(w), "Vector.Dot")
@@ -127,14 +72,6 @@ func (v Vector) Dot(w Vector) float64 {
 
 // Norm2 returns the Euclidean norm of v.
 func (v Vector) Norm2() float64 { return math.Sqrt(v.Dot(v)) }
-
-// Map applies f to every element in place and returns v.
-func (v Vector) Map(f func(float64) float64) Vector {
-	for i := range v {
-		v[i] = f(v[i])
-	}
-	return v
-}
 
 // Sum returns the sum of the elements of v.
 func (v Vector) Sum() float64 {
@@ -174,20 +111,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFrom builds a matrix from row slices. All rows must have equal
-// length.
-func NewMatrixFrom(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		mustLen(len(r), m.Cols, "NewMatrixFrom")
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
 // Randomize fills m with N(0, stddev) entries from src and returns m.
 func (m *Matrix) Randomize(src *rng.Source, stddev float64) *Matrix {
 	for i := range m.Data {
@@ -201,9 +124,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns m[i,j] = v.
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Row returns row i as a Vector sharing storage with m.
-func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
@@ -337,28 +257,6 @@ func (m *Matrix) MulVecTAddOuter(v Vector, s float64, w, dst Vector) Vector {
 	return dst
 }
 
-// Mul computes the product a·b into a new matrix.
-func Mul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
 // AddOuterScaled adds s · u·wᵀ into m in place (rank-1 update) and returns m.
 func (m *Matrix) AddOuterScaled(s float64, u, w Vector) *Matrix {
 	mustLen(len(u), m.Rows, "AddOuterScaled rows")
@@ -409,9 +307,6 @@ func Sigmoid(x float64) float64 {
 // SigmoidPrimeFromY returns the derivative of the logistic function expressed
 // in terms of its output y = σ(x): σ'(x) = y(1−y).
 func SigmoidPrimeFromY(y float64) float64 { return y * (1 - y) }
-
-// Tanh is the hyperbolic tangent (re-exported for symmetry with Sigmoid).
-func Tanh(x float64) float64 { return math.Tanh(x) }
 
 // Softmax writes the softmax of src into dst (allocating when nil) and
 // returns dst. It is numerically stabilized by max subtraction.

@@ -7,43 +7,6 @@ import (
 	"solarsched/internal/rng"
 )
 
-func TestDstVariants(t *testing.T) {
-	v := Vector{1, 2, 3}
-	w := Vector{4, 5, 6}
-
-	got := v.AddTo(w, nil)
-	if got[0] != 5 || got[1] != 7 || got[2] != 9 {
-		t.Fatalf("AddTo = %v", got)
-	}
-	if v[0] != 1 || w[0] != 4 {
-		t.Fatalf("AddTo mutated inputs: v=%v w=%v", v, w)
-	}
-	dst := NewVector(3)
-	if out := v.AddTo(w, dst); &out[0] != &dst[0] {
-		t.Fatal("AddTo ignored provided dst")
-	}
-
-	if got := v.SubTo(w, nil); got[0] != -3 || got[2] != -3 {
-		t.Fatalf("SubTo = %v", got)
-	}
-	if v[0] != 1 {
-		t.Fatal("SubTo mutated receiver")
-	}
-	if got := v.ScaleTo(10, nil); got[1] != 20 || v[1] != 2 {
-		t.Fatalf("ScaleTo = %v (v=%v)", got, v)
-	}
-	if got := v.MapTo(func(x float64) float64 { return -x }, nil); got[2] != -3 || v[2] != 3 {
-		t.Fatalf("MapTo = %v (v=%v)", got, v)
-	}
-
-	// Aliasing dst == receiver must match the in-place variants.
-	a := v.Clone()
-	a.AddTo(w, a)
-	if b := v.Clone().Add(w); b[0] != a[0] || b[1] != a[1] || b[2] != a[2] {
-		t.Fatalf("aliased AddTo %v != Add %v", a, b)
-	}
-}
-
 func TestWorkspaceReuse(t *testing.T) {
 	ws := NewWorkspace()
 	v1 := ws.Vec(8)

@@ -279,6 +279,18 @@ func (s *Set) PendingEnergy() float64 {
 	return sum
 }
 
+// CopyFrom makes s's execution state — remaining times, miss flags and
+// the last FilterRunnable result — a copy of src's, without allocating,
+// and returns s's copy of that runnable list. src must be a set of the
+// same graph.
+func (s *Set) CopyFrom(src *Set) []int {
+	copy(s.remaining, src.remaining)
+	copy(s.missed, src.missed)
+	s.pending = src.pending
+	s.runnable = append(s.runnable[:0], src.runnable...)
+	return s.runnable
+}
+
 // Clone returns an independent copy of the execution state (for planners).
 func (s *Set) Clone() *Set {
 	return newSet(s.G, append([]float64(nil), s.remaining...), append([]bool(nil), s.missed...))

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -191,10 +192,20 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// writeJSON answers code with v as indented JSON. It encodes before
+// sending the status line, so a value JSON cannot represent (a NaN or an
+// infinity) answers 500 with an error body instead of code with an empty
+// one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		body.Reset()
+		code = http.StatusInternalServerError
+		_ = enc.Encode(map[string]string{"error": fmt.Sprintf("encoding response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body.Bytes())
 }

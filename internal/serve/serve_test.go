@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -497,5 +498,31 @@ func TestCancelEndpoint(t *testing.T) {
 	st, _ := waitTerminal(t, ts.URL, ack.ID, 15*time.Second)
 	if st.State != StateCanceled {
 		t.Fatalf("job state after DELETE = %s, want canceled", st.State)
+	}
+}
+
+// A value JSON cannot represent answers 500 with a JSON error body, never
+// the intended status with an empty body; an encodable value keeps its
+// exact bytes: two-space indent and a trailing newline.
+func TestWriteJSONNonFiniteValue(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, struct {
+		Value float64 `json:"value"`
+	}{math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("NaN field: status %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("NaN field: Content-Type %q", ct)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body["error"], "NaN") {
+		t.Fatalf("NaN field: body %q (%v), want a JSON error naming the value", rec.Body.String(), err)
+	}
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusAccepted, map[string]any{"id": "j1", "n": 2})
+	if want := "{\n  \"id\": \"j1\",\n  \"n\": 2\n}\n"; rec.Code != http.StatusAccepted || rec.Body.String() != want {
+		t.Fatalf("encodable value: status %d body %q, want 202 and %q", rec.Code, rec.Body.String(), want)
 	}
 }

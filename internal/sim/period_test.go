@@ -1,8 +1,12 @@
 package sim_test
 
 import (
+	"math"
+	"slices"
 	"testing"
 
+	"solarsched/internal/nvp"
+	"solarsched/internal/rng"
 	"solarsched/internal/sched"
 	"solarsched/internal/sim"
 	"solarsched/internal/supercap"
@@ -22,92 +26,174 @@ func samePeriodOutcome(a, b sim.PeriodOutcome) bool {
 	return true
 }
 
-// A replayed period is the recorded trajectory re-run on another
-// capacitor: wherever Replay answers, it must answer exactly what a full
-// simulation on that capacitor returns, and it must refuse wherever the
-// brown-out trim differs.
-func TestPeriodTraceReplayMatchesRun(t *testing.T) {
-	g := task.WAM()
-	p := supercap.DefaultParams()
-	powers := make([]float64, 30)
-	for i := range powers {
-		powers[i] = 0.003 * float64(i%5) // the store carries load in the dark slots
-	}
-	for name, policy := range map[string]sim.SlotPolicy{
-		"cheapest": sched.CheapestFirstPolicy(g),
-		"intra":    sched.NewIntraMatch(g).Policy(),
-	} {
-		ps := sim.NewPeriodSim(g)
-		traces := sim.NewPeriodTraces(g, 1, len(powers))
-		tr := &traces[0]
-		rec := supercap.Capacitor{C: 50, V: p.VHigh, P: p}
-		ps.Record(tr, &rec, powers, nil, policy, 60, 0.95)
+// trimSignature is how many tasks ran in each slot of a reference run on
+// a capacitor of c farads at v volts: two start voltages with different
+// signatures lie on the two sides of a brown-out trim boundary.
+func trimSignature(c, v float64, powers []float64, g *task.Graph,
+	allowed []bool, policy sim.SlotPolicy, dt float64) []int {
+	var sig []int
+	remove := sim.SetRanHook(func(_ *nvp.Set, ran []int) { sig = append(sig, len(ran)) })
+	defer remove()
+	sim.RunPeriodReference(&supercap.Capacitor{C: c, V: v, P: supercap.DefaultParams()},
+		powers, g, allowed, policy, dt, 0.95)
+	return sig
+}
 
-		replays, refusals := 0, 0
-		for _, c := range []float64{2, 10, 50} {
-			for i := 0; i <= 40; i++ {
-				v := p.VLow + (p.VHigh-p.VLow)*float64(i)/40
-				full := supercap.Capacitor{C: c, V: v, P: p}
-				want := ps.Run(&full, powers, nil, policy, 60, 0.95)
-				want.Executed = append([]bool(nil), want.Executed...)
-				re := supercap.Capacitor{C: c, V: v, P: p}
-				got, ok := tr.Replay(&re, powers, 60, 0.95)
-				if !ok {
-					refusals++
-					continue
+// trimBoundaries scans start voltages of a c-farad capacitor and returns,
+// for up to max trim boundaries it crosses, the two adjacent floats on
+// either side of the boundary.
+func trimBoundaries(t *testing.T, c float64, max int, powers []float64, g *task.Graph,
+	allowed []bool, policy sim.SlotPolicy, dt float64) []float64 {
+	p := supercap.DefaultParams()
+	sig := func(v float64) []int { return trimSignature(c, v, powers, g, allowed, policy, dt) }
+	var out []float64
+	const steps = 40
+	prev, prevSig := p.VLow, sig(p.VLow)
+	for i := 1; i <= steps && len(out) < 2*max; i++ {
+		v := p.VLow + (p.VHigh-p.VLow)*float64(i)/steps
+		s := sig(v)
+		if !slices.Equal(s, prevSig) {
+			lo, hi, loSig := prev, v, prevSig
+			for {
+				mid := lo + (hi-lo)/2
+				if mid <= lo || mid >= hi {
+					break
 				}
-				replays++
-				if !samePeriodOutcome(got, want) {
-					t.Fatalf("%s C=%g V=%g: replay %+v, full simulation %+v", name, c, v, got, want)
+				if ms := sig(mid); slices.Equal(ms, loSig) {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			if math.Nextafter(lo, hi) != hi {
+				t.Fatalf("C=%g: bisection stopped at %v and %v, not adjacent floats", c, lo, hi)
+			}
+			out = append(out, lo, hi)
+		}
+		prev, prevSig = v, s
+	}
+	return out
+}
+
+// bucketCentre is the start voltage of the LUT's voltage bucket b of B on
+// a c-farad capacitor (core.LUT.BucketV's square-root spacing).
+func bucketCentre(c float64, b, B int) float64 {
+	p := supercap.DefaultParams()
+	capacity := 0.5 * c * (p.VHigh*p.VHigh - p.VLow*p.VLow)
+	r := (float64(b) + 0.5) / float64(B)
+	return math.Sqrt(p.VLow*p.VLow + 2*r*r*capacity/c)
+}
+
+// Every lane of a lane run must equal the plain one-capacitor loop on its
+// capacitor bit for bit, however its trims split the lanes into
+// branches: the lanes mix 2, 10 and 50 F capacitors at V_L, V_H, the
+// LUT's bucket centres and both sides of trim boundaries, under seeded
+// slot powers, both fine-grained stages, with and without an allowed
+// mask, and at two slot lengths. One simulator serves every run of a
+// graph, so its pooled branches and deadline marks are reused across runs
+// of different lane counts and slot lengths.
+func TestRunLanesMatchReference(t *testing.T) {
+	p := supercap.DefaultParams()
+	r := rng.New(2203)
+	for _, g := range []*task.Graph{task.WAM(), task.ECG(), task.SHM(), task.RandomCase(1)} {
+		total := 0.0
+		for _, tk := range g.Tasks {
+			total += tk.Power
+		}
+		// Dark slots and partial supply: the store carries part of the
+		// load, so trims depend on the start voltage.
+		powers := make([]float64, 30)
+		for i := range powers {
+			if r.Float64() < 0.6 {
+				powers[i] = r.Range(0, 0.8*total)
+			}
+		}
+		half := make([]bool, g.N())
+		for n := range half {
+			half[n] = n%3 != 1
+		}
+		ps := sim.NewPeriodSim(g)
+		forks := 0
+		for _, c := range []struct {
+			name   string
+			policy sim.SlotPolicy
+			dt     float64
+		}{
+			{"cheapest", sched.CheapestFirstPolicy(g), 60},
+			{"intra", sched.NewIntraMatch(g).Policy(), 60},
+			{"cheapest/45s", sched.CheapestFirstPolicy(g), 45},
+		} {
+			policy, dt := c.policy, c.dt
+			for _, allowed := range [][]bool{nil, half} {
+				var caps []supercap.Capacitor
+				for _, capC := range []float64{2, 10, 50} {
+					vs := []float64{p.VLow, p.VHigh}
+					for b := 0; b < 28; b++ {
+						vs = append(vs, bucketCentre(capC, b, 28))
+					}
+					vs = append(vs, trimBoundaries(t, capC, 3, powers, g, allowed, policy, dt)...)
+					for _, v := range vs {
+						caps = append(caps, supercap.Capacitor{C: capC, V: v, P: p})
+					}
+				}
+				r.Shuffle(len(caps), func(i, j int) { caps[i], caps[j] = caps[j], caps[i] })
+				start := slices.Clone(caps)
+
+				outs := ps.RunLanes(caps, powers, allowed, policy, dt, 0.95)
+				if len(outs) != len(caps) {
+					t.Fatalf("%s/%s: %d outcomes for %d lanes", g.Name, c.name, len(outs), len(caps))
+				}
+				t.Logf("%s/%s allowed=%v: %d lanes, %d branches", g.Name, c.name, allowed != nil, len(caps), ps.Branches())
+				if ps.Branches() > 1 {
+					forks++
+				}
+				for i := range caps {
+					ref := start[i]
+					want := sim.RunPeriodReference(&ref, powers, g, allowed, policy, dt, 0.95)
+					if !samePeriodOutcome(outs[i], want) {
+						t.Fatalf("%s/%s allowed=%v lane %d (C=%g V=%v): lane %+v, reference %+v",
+							g.Name, c.name, allowed != nil, i, start[i].C, start[i].V, outs[i], want)
+					}
+					if math.Float64bits(caps[i].V) != math.Float64bits(ref.V) {
+						t.Fatalf("%s/%s lane %d: capacitor ends at %v V, reference at %v V",
+							g.Name, c.name, i, caps[i].V, ref.V)
+					}
+				}
+
+				// One lane alone is Run, and answers the same.
+				one := start[len(start)/2]
+				got := ps.Run(&one, powers, allowed, policy, dt, 0.95)
+				ref := start[len(start)/2]
+				if want := sim.RunPeriodReference(&ref, powers, g, allowed, policy, dt, 0.95); !samePeriodOutcome(got, want) || one.V != ref.V {
+					t.Fatalf("%s/%s: Run %+v, reference %+v", g.Name, c.name, got, want)
 				}
 			}
 		}
-		t.Logf("%s: %d replays, %d refusals", name, replays, refusals)
-		if replays == 0 || refusals == 0 {
-			t.Errorf("%s: %d replays and %d refusals; the draws must exercise both", name, replays, refusals)
-		}
-
-		// A period of another length is never replayed.
-		short := supercap.Capacitor{C: 10, V: 1.6, P: p}
-		if _, ok := tr.Replay(&short, powers[:20], 60, 0.95); ok {
-			t.Errorf("%s: replayed a 30-slot trace over 20 slots", name)
-		}
-		tr.Forget()
-		if _, ok := tr.Replay(&short, powers, 60, 0.95); ok {
-			t.Errorf("%s: replayed a forgotten trace", name)
+		if forks == 0 {
+			t.Errorf("%s: no lane run forked a branch; the start voltages do not exercise the fork", g.Name)
 		}
 	}
 }
 
-// Recording must not change the simulation, and a zero PeriodTrace grows
-// its own storage.
-func TestPeriodSimRecordMatchesRun(t *testing.T) {
+// An empty lane run answers nothing and leaves the simulator usable.
+func TestRunLanesEmpty(t *testing.T) {
 	g := task.ECG()
-	p := supercap.DefaultParams()
-	policy := sched.CheapestFirstPolicy(g)
-	powers := make([]float64, 30)
-	for i := range powers {
-		powers[i] = 0.01 * float64(i%3)
-	}
 	ps := sim.NewPeriodSim(g)
-	var tr sim.PeriodTrace
-	a, b := supercap.Capacitor{C: 5, V: 1.2, P: p}, supercap.Capacitor{C: 5, V: 1.2, P: p}
-	got := ps.Record(&tr, &a, powers, nil, policy, 60, 0.95)
-	got.Executed = append([]bool(nil), got.Executed...)
-	want := sim.RunPeriodOnCap(&b, powers, g, nil, policy, 60, 0.95)
-	if !samePeriodOutcome(got, want) {
-		t.Fatalf("recorded %+v, plain run %+v", got, want)
+	policy := sched.CheapestFirstPolicy(g)
+	if outs := ps.RunLanes(nil, make([]float64, 30), nil, policy, 60, 0.95); len(outs) != 0 || ps.Branches() != 0 {
+		t.Fatalf("empty run: %d outcomes, %d branches", len(outs), ps.Branches())
 	}
-	c := supercap.Capacitor{C: 5, V: 1.2, P: p}
-	replayed, ok := tr.Replay(&c, powers, 60, 0.95)
-	if !ok || !samePeriodOutcome(replayed, want) {
-		t.Fatalf("replay on the recording capacitor: ok=%v %+v, want %+v", ok, replayed, want)
+	a := supercap.Capacitor{C: 10, V: 2, P: supercap.DefaultParams()}
+	b := a
+	got := ps.Run(&a, make([]float64, 30), nil, policy, 60, 0.95)
+	if want := sim.RunPeriodReference(&b, make([]float64, 30), g, nil, policy, 60, 0.95); !samePeriodOutcome(got, want) {
+		t.Fatalf("after an empty run: %+v, reference %+v", got, want)
 	}
 }
 
-// Planner-local simulations hide the store from the policy: a trace is
-// replayed on other capacitors, which is exact only while the policy
-// cannot read the one it was recorded on.
+// Planner-local simulations hide the store from the policy: a lane run
+// shares one task trajectory among capacitors, which is exact only while
+// the policy cannot read any of them.
 func TestPlannerLocalPolicySeesNoStore(t *testing.T) {
 	g := task.SHM()
 	cap := supercap.New(10, supercap.DefaultParams())

@@ -73,8 +73,8 @@ type SlotView struct {
 	SolarPower        float64 // W, measured for the current slot
 	// Cap is the active capacitor; nil inside planner-local simulations
 	// (PeriodSim, RunPeriodOnCap), whose policies must not read the store:
-	// a PeriodTrace replays a period's task trajectory on other
-	// capacitors, which holds only while the policy ignores the store.
+	// PeriodSim.RunLanes shares one task trajectory among capacitors,
+	// which holds only while the policy ignores the store.
 	// Under sensor faults Cap and Bank are the fault injector's
 	// observation, refreshed in place at the next observation: valid
 	// until the next Slot call, like the view itself.
@@ -588,15 +588,17 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 	return res, nil
 }
 
-// slotStep is the slot execution Engine.run and PeriodSim share: the
-// allowed-mask filter, then FilterRunnable, brown-out trim, run and settle
-// (execDVFS for speed-scaling schedulers). Its scratch belongs to one run,
-// so a warm step allocates nothing. Leakage, deadlines, faults and
-// recording stay with the drivers.
+// slotStep is Engine.run's slot execution: the allowed-mask filter, then
+// FilterRunnable, brown-out trim, run and settle (execDVFS for
+// speed-scaling schedulers). PeriodSim.RunLanes takes the same steps,
+// split between its branches and lanes, over a slotStep's view and
+// filter. Its scratch belongs to one run, so a warm step allocates
+// nothing. Leakage, deadlines, faults and recording stay with the
+// drivers.
 type slotStep struct {
 	view    SlotView  // the run's one SlotView, reset every slot
 	allowed []int     // filterAllowed's result
-	loads   []float64 // prefix loads of the last slot's runnable list
+	loads   []float64 // prefix loads of the slot's runnable list
 	speeds  []float64 // execDVFS's clamped speeds
 }
 
@@ -613,16 +615,11 @@ func (st *slotStep) exec(cap *supercap.Capacitor, ts *nvp.Set, order []int, allo
 }
 
 // run trims a runnable list to the load the slot can carry, runs the
-// survivors and settles the slot's energy. st.loads keeps the list's
-// prefix loads for a period recorder.
+// survivors and settles the slot's energy.
 func (st *slotStep) run(cap *supercap.Capacitor, ts *nvp.Set, run []int,
 	solarW, dt, directEff float64) SlotStats {
-	loads := append(st.loads[:0], 0)
-	for _, n := range run {
-		loads = append(loads, loads[len(loads)-1]+ts.G.Tasks[n].Power)
-	}
-	st.loads = loads
-	k := carried(cap, loads, solarW*directEff, dt)
+	st.loads = prefixLoads(st.loads, ts.G, run)
+	k := carried(cap, st.loads, solarW*directEff, dt)
 	stats := SlotStats{Ran: run[:k], Trimmed: len(run) - k}
 	if ranHook != nil {
 		ranHook(ts, stats.Ran)
@@ -646,6 +643,17 @@ func (st *slotStep) filterAllowed(order []int, allowed []bool) []int {
 	}
 	st.allowed = out
 	return out
+}
+
+// prefixLoads returns, in dst's storage, the prefix loads of a runnable
+// list as carried reads them: loads[m] is the summed power of the list's
+// first m tasks.
+func prefixLoads(dst []float64, g *task.Graph, run []int) []float64 {
+	loads := append(dst[:0], 0)
+	for _, n := range run {
+		loads = append(loads, loads[len(loads)-1]+g.Tasks[n].Power)
+	}
+	return loads
 }
 
 // carried is the brown-out trim: it returns how many leading tasks of a
