@@ -37,7 +37,7 @@ import (
 	"strings"
 
 	"solarsched/internal/ann"
-	"solarsched/internal/ckpt"
+	"solarsched/internal/atomicio"
 	"solarsched/internal/cli"
 	"solarsched/internal/core"
 	"solarsched/internal/dvfs"
@@ -136,7 +136,7 @@ func workloadCmd(args []string) (err error) {
 	if *out == "" {
 		return workloadCmdTo(os.Stdout, *name)
 	}
-	w, err := ckpt.NewAtomicWriter(*out, 0o644)
+	w, err := atomicio.NewWriter(*out, 0o644)
 	if err != nil {
 		return err
 	}
@@ -268,7 +268,7 @@ func trainCmd(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	w, err := ckpt.NewAtomicWriter(*out, 0o644)
+	w, err := atomicio.NewWriter(*out, 0o644)
 	if err != nil {
 		return err
 	}
@@ -390,9 +390,9 @@ func runCmd(args []string) (err error) {
 	}
 	var opts []sim.RunOption
 	var logRec *sim.CSVRecorder
-	var logW *ckpt.AtomicWriter
+	var logW *atomicio.Writer
 	if *logPath != "" {
-		logW, err = ckpt.NewAtomicWriter(*logPath, 0o644)
+		logW, err = atomicio.NewWriter(*logPath, 0o644)
 		if err != nil {
 			return err
 		}

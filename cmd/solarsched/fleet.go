@@ -26,7 +26,7 @@ import (
 	"io"
 	"os"
 
-	"solarsched/internal/ckpt"
+	"solarsched/internal/atomicio"
 	"solarsched/internal/cli"
 	"solarsched/internal/fleet"
 	"solarsched/internal/obs"
@@ -171,7 +171,7 @@ func formatIndices(xs []int) string {
 
 // writeReport writes one report rendering atomically.
 func writeReport(path string, render func(io.Writer) error) error {
-	w, err := ckpt.NewAtomicWriter(path, 0o644)
+	w, err := atomicio.NewWriter(path, 0o644)
 	if err != nil {
 		return err
 	}

@@ -39,7 +39,7 @@ import (
 	"strings"
 	"time"
 
-	"solarsched/internal/ckpt"
+	"solarsched/internal/atomicio"
 	"solarsched/internal/cli"
 	"solarsched/internal/experiments"
 	"solarsched/internal/obs"
@@ -309,7 +309,7 @@ func writeCSV(dir, name string, tbl *stats.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	w, err := ckpt.NewAtomicWriter(filepath.Join(dir, name+".csv"), 0o644)
+	w, err := atomicio.NewWriter(filepath.Join(dir, name+".csv"), 0o644)
 	if err != nil {
 		return err
 	}

@@ -69,7 +69,7 @@ import (
 	"os"
 	"time"
 
-	"solarsched/internal/ckpt"
+	"solarsched/internal/atomicio"
 	"solarsched/internal/cli"
 	"solarsched/internal/fleet"
 	"solarsched/internal/learn"
@@ -312,7 +312,7 @@ func writeChromeTrace(path string, reg *obs.Registry) error {
 	if dropped > 0 {
 		fmt.Fprintf(os.Stderr, "solarschedd: chrome trace dropped %d oldest events (buffer full)\n", dropped)
 	}
-	w, err := ckpt.NewAtomicWriter(path, 0o644)
+	w, err := atomicio.NewWriter(path, 0o644)
 	if err != nil {
 		return err
 	}

@@ -72,11 +72,9 @@ func (r *RBM) newCDScratch() *cdScratch {
 	return &cdScratch{h0: mat.NewVector(nh), h0s: mat.NewVector(nh), v1: mat.NewVector(nv), h1: mat.NewVector(nh)}
 }
 
-// CD1 performs one step of contrastive divergence on a single visible
+// cd1 performs one step of contrastive divergence on a single visible
 // vector with learning rate lr: positive phase on the data, one Gibbs step
 // for the negative phase, stochastic hidden states on the way down.
-func (r *RBM) CD1(v0 mat.Vector, lr float64, src *rng.Source) { r.cd1(r.newCDScratch(), v0, lr, src) }
-
 func (r *RBM) cd1(sc *cdScratch, v0 mat.Vector, lr float64, src *rng.Source) {
 	h0 := r.hiddenProbs(v0, sc.h0)
 	h0s := sample(h0, sc.h0s, src)
@@ -139,12 +137,8 @@ func (r *RBM) ReconstructionError(data []mat.Vector) float64 {
 	return total / float64(len(data)*len(data[0]))
 }
 
-// TrainEpoch runs one full pass of CD-1 over the data in a deterministic
+// trainEpoch runs one full pass of CD-1 over the data in a deterministic
 // shuffled order.
-func (r *RBM) TrainEpoch(data []mat.Vector, lr float64, src *rng.Source) {
-	r.trainEpoch(r.newCDScratch(), data, lr, src)
-}
-
 func (r *RBM) trainEpoch(sc *cdScratch, data []mat.Vector, lr float64, src *rng.Source) {
 	for _, idx := range src.Perm(len(data)) {
 		r.cd1(sc, data[idx], lr, src)

@@ -1,10 +1,18 @@
-// Package atomicio provides crash-consistent file publication: bytes land
-// in a temporary file in the target's directory, are fsynced, and are
-// renamed over the target in one atomic step. A crash at any instant
-// leaves either the old contents or the complete new contents at the
-// path — never a truncated or interleaved file. It sits below every
-// writer of results and checkpoints (internal/ckpt wraps it; internal/obs
-// uses it for -metrics-out).
+// Package atomicio is the one atomic-write path and the one on-disk
+// envelope of every durable file.
+//
+// Publication: bytes land in a temporary file in the target's directory,
+// are fsynced, and are renamed over the target in one atomic step. A crash
+// at any instant leaves either the old contents or the complete new
+// contents at the path — never a truncated or interleaved file. Result
+// tables, slot logs, -metrics-out, checkpoints, store entries and learn's
+// files are all written this way.
+//
+// Envelope: a self-describing JSON header line (magic, version, the
+// format's own fields, payload length and SHA-256) followed by exactly
+// that payload, so a reader detects a torn or foreign file from the header
+// and one hash pass. Checkpoints, store entries and learn's manifest and
+// telemetry segments use it (Seal, Open).
 package atomicio
 
 import (

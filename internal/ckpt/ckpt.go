@@ -4,7 +4,9 @@
 // positions, fault-injector state and observer counters) in a versioned,
 // self-describing file format, written atomically with a rolling previous
 // generation — a SIGKILL at any instant leaves either the previous or the
-// new checkpoint valid, never a torn one.
+// new checkpoint valid, never a torn one. The envelope and the atomic
+// write are internal/atomicio's; this package adds the checkpoint header
+// fields and the generation policy (".prev" and the journal).
 //
 // This is the simulator-side analogue of the platform it models: a
 // nonvolatile node checkpoints its architectural state through power
@@ -16,16 +18,15 @@ package ckpt
 
 import (
 	"bufio"
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
 
+	"solarsched/internal/atomicio"
 	"solarsched/internal/sim"
 )
 
@@ -36,11 +37,13 @@ const (
 	FormatVersion = 1
 )
 
+var format = atomicio.Format{Magic: Magic, Version: FormatVersion}
+
 // ErrCorruptCheckpoint is wrapped into every Decode rejection of a torn,
-// truncated or foreign checkpoint file: missing or malformed header, wrong
-// magic or format version, payload length or checksum mismatch, undecodable
-// payload. Callers use errors.Is(err, ckpt.ErrCorruptCheckpoint) instead of
-// string-matching; Load falls back to the previous generation on it.
+// truncated or foreign checkpoint file: every atomicio.ErrCorrupt case,
+// and an undecodable payload. Callers use errors.Is(err,
+// ckpt.ErrCorruptCheckpoint) instead of string-matching; Load falls back to
+// the previous generation on it.
 var ErrCorruptCheckpoint = errors.New("ckpt: corrupt checkpoint")
 
 // DefaultInterval is the wall-clock throttle the CLIs apply to periodic
@@ -49,19 +52,16 @@ var ErrCorruptCheckpoint = errors.New("ckpt: corrupt checkpoint")
 // while losing at most one second of progress to a kill.
 const DefaultInterval = time.Second
 
-// Header is the self-describing first line of a checkpoint file: a JSON
-// object terminated by '\n', followed by exactly PayloadBytes of JSON
-// payload. A reader can validate a checkpoint — or detect a torn one —
-// from the header alone plus one hash pass.
+// Header is the first line of a checkpoint file: the atomicio envelope's
+// header with the checkpoint's own fields, followed by exactly
+// PayloadBytes of JSON payload.
 type Header struct {
-	Magic         string `json:"magic"`
-	Version       int    `json:"version"`
+	atomicio.Format
 	Seq           uint64 `json:"seq"`
 	SchedulerName string `json:"scheduler"`
 	ConfigDigest  string `json:"config_digest"`
 	NextPeriod    int    `json:"next_period"`
-	PayloadBytes  int    `json:"payload_bytes"`
-	PayloadSHA256 string `json:"payload_sha256"`
+	atomicio.Digest
 }
 
 // Encode serializes a RunState into the envelope format.
@@ -70,27 +70,12 @@ func Encode(rs *sim.RunState, seq uint64) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: encode payload: %w", err)
 	}
-	sum := sha256.Sum256(payload)
-	hdr := Header{
-		Magic:         Magic,
-		Version:       FormatVersion,
+	return atomicio.Seal(format, &Header{
 		Seq:           seq,
 		SchedulerName: rs.SchedulerName,
 		ConfigDigest:  rs.ConfigDigest,
 		NextPeriod:    rs.NextPeriod,
-		PayloadBytes:  len(payload),
-		PayloadSHA256: hex.EncodeToString(sum[:]),
-	}
-	hb, err := json.Marshal(hdr)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: encode header: %w", err)
-	}
-	var buf bytes.Buffer
-	buf.Grow(len(hb) + 1 + len(payload))
-	buf.Write(hb)
-	buf.WriteByte('\n')
-	buf.Write(payload)
-	return buf.Bytes(), nil
+	}, payload)
 }
 
 // Decode parses and verifies an envelope: magic, version, payload length
@@ -98,27 +83,9 @@ func Encode(rs *sim.RunState, seq uint64) ([]byte, error) {
 // callers fall back to the previous generation.
 func Decode(data []byte) (*sim.RunState, Header, error) {
 	var hdr Header
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, hdr, fmt.Errorf("%w: missing header line", ErrCorruptCheckpoint)
-	}
-	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
-		return nil, hdr, fmt.Errorf("%w: bad header: %v", ErrCorruptCheckpoint, err)
-	}
-	if hdr.Magic != Magic {
-		return nil, hdr, fmt.Errorf("%w: not a checkpoint file (magic %q)", ErrCorruptCheckpoint, hdr.Magic)
-	}
-	if hdr.Version != FormatVersion {
-		return nil, hdr, fmt.Errorf("%w: format version %d, this build reads %d", ErrCorruptCheckpoint, hdr.Version, FormatVersion)
-	}
-	payload := data[nl+1:]
-	if len(payload) != hdr.PayloadBytes {
-		return nil, hdr, fmt.Errorf("%w: payload is %d bytes, header says %d (torn write)",
-			ErrCorruptCheckpoint, len(payload), hdr.PayloadBytes)
-	}
-	sum := sha256.Sum256(payload)
-	if got := hex.EncodeToString(sum[:]); got != hdr.PayloadSHA256 {
-		return nil, hdr, fmt.Errorf("%w: payload checksum mismatch (torn write)", ErrCorruptCheckpoint)
+	payload, err := atomicio.Open(format, data, &hdr)
+	if err != nil {
+		return nil, hdr, fmt.Errorf("%w: %w", ErrCorruptCheckpoint, err)
 	}
 	var rs sim.RunState
 	if err := json.Unmarshal(payload, &rs); err != nil {
@@ -130,24 +97,29 @@ func Decode(data []byte) (*sim.RunState, Header, error) {
 // Store persists checkpoints at a fixed path with one rolling previous
 // generation (path + ".prev") and an append-only journal (path +
 // ".journal") auditing every save. The write protocol guarantees that a
-// kill at any instant leaves at least one loadable generation:
+// kill at any instant leaves at least one loadable generation, and never
+// leaves the checkpoint path without a file once it has one:
 //
-//  1. the new checkpoint is written to a temp file and fsynced;
-//  2. the current checkpoint (if any) is renamed to ".prev";
-//  3. the temp file is renamed to the checkpoint path;
-//  4. the directory is fsynced.
+//  1. ".prev" is replaced by a hard link to the current checkpoint, if the
+//     store decoded or wrote that file;
+//  2. atomicio.WriteFile publishes the new checkpoint: a temp file,
+//     fsynced, renamed over the path, and the directory fsynced.
 //
-// A kill between 2 and 3 leaves only ".prev"; a torn temp file never
-// reaches either name; and a torn read (checksum mismatch) falls back to
-// the previous generation in Load.
+// A torn temp file never reaches either name, and a torn read (checksum
+// mismatch) falls back to the previous generation in Load. A corrupt
+// newest file is never rolled into ".prev": the new generation replaces
+// it and the valid ".prev" stays. A Store is used by one goroutine.
 type Store struct {
 	path string
 	seq  uint64
+	// valid: the file at path is one this store decoded or wrote, so Save
+	// may keep it as ".prev".
+	valid bool
 }
 
 // NewStore returns a store at path, creating the parent directory. The
-// sequence number continues from an existing checkpoint at the path, so
-// resumed runs keep a monotonic journal.
+// sequence number continues from the newest loadable generation at the
+// path, so resumed runs keep a monotonic journal.
 func NewStore(path string) (*Store, error) {
 	if path == "" {
 		return nil, fmt.Errorf("ckpt: empty store path")
@@ -156,10 +128,8 @@ func NewStore(path string) (*Store, error) {
 		return nil, err
 	}
 	st := &Store{path: path}
-	if data, err := os.ReadFile(path); err == nil {
-		if _, hdr, err := Decode(data); err == nil {
-			st.seq = hdr.Seq
-		}
+	if _, hdr, _, err := st.Load(); err == nil {
+		st.seq = hdr.Seq
 	}
 	return st, nil
 }
@@ -205,44 +175,33 @@ func (st *Store) Save(rs *sim.RunState) error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(st.path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(st.path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	cleanup := func(e error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return e
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	// Roll the current generation out of the way, then publish the new one.
-	// Both renames are atomic; a kill between them leaves ".prev" valid.
-	if _, err := os.Stat(st.path); err == nil {
-		if err := os.Rename(st.path, st.PrevPath()); err != nil {
-			os.Remove(tmpName)
+	if st.valid {
+		if err := st.keepPrev(); err != nil {
 			return err
 		}
 	}
-	if err := os.Rename(tmpName, st.path); err != nil {
-		os.Remove(tmpName)
+	if err := atomicio.WriteFile(st.path, data, 0o600); err != nil {
 		return err
 	}
-	if err := syncDir(dir); err != nil {
-		return err
-	}
+	st.valid = true
 	st.journal(rs)
 	return nil
+}
+
+// keepPrev makes the current checkpoint the previous generation while it
+// stays at the checkpoint path: a kill at any point leaves the newest
+// generation loadable. Where the filesystem has no hard links it is
+// renamed instead, which leaves only ".prev" until the new file lands.
+func (st *Store) keepPrev() error {
+	prev := st.PrevPath()
+	if err := os.Remove(prev); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	err := os.Link(st.path, prev)
+	if err == nil || errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	return os.Rename(st.path, prev)
 }
 
 // journal appends one audit line per successful save. The journal is an
@@ -275,6 +234,7 @@ func (st *Store) journal(rs *sim.RunState) {
 // generation had to be used.
 func (st *Store) Load() (*sim.RunState, Header, bool, error) {
 	rs, hdr, errCur := st.loadOne(st.path)
+	st.valid = errCur == nil
 	if errCur == nil {
 		return rs, hdr, false, nil
 	}

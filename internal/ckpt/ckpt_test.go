@@ -191,69 +191,50 @@ func TestStoreLeavesNoTempFiles(t *testing.T) {
 	}
 }
 
-func TestAtomicWriterCommitAndAbort(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "out.csv")
-	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Abort must leave the existing file untouched.
-	w, err := NewAtomicWriter(path, 0o644)
+// A corrupt newest checkpoint must not cost the valid previous generation:
+// the next Save replaces the corrupt file instead of rolling it into
+// ".prev", and continues the sequence from the generation Load returned.
+func TestSaveAfterCorruptNewestKeepsPrev(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	st, err := NewStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Write([]byte("half-written")); err != nil {
+	for i := 1; i <= 3; i++ {
+		if err := st.Save(sampleState(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, []byte("garbage"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	w.Abort()
-	if data, _ := os.ReadFile(path); string(data) != "old" {
-		t.Fatalf("abort clobbered target: %q", data)
-	}
 
-	// Commit publishes the new content atomically.
-	w, err = NewAtomicWriter(path, 0o644)
+	st, err = NewStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Write([]byte("new content")); err != nil {
+	_, hdr, usedPrev, err := st.Load()
+	if err != nil || !usedPrev || hdr.Seq != 2 {
+		t.Fatalf("Load: seq=%d usedPrev=%v err=%v, want seq 2 from .prev", hdr.Seq, usedPrev, err)
+	}
+	if err := st.Save(sampleState(4)); err != nil {
 		t.Fatal(err)
-	}
-	if err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	w.Abort() // idempotent after Commit — the deferred-cleanup pattern
-	if data, _ := os.ReadFile(path); string(data) != "new content" {
-		t.Fatalf("commit did not publish: %q", data)
-	}
-	if _, err := w.Write([]byte("x")); err == nil {
-		t.Fatal("write accepted after Commit")
 	}
 
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("leftover files in %s: %v", dir, entries)
-	}
-}
-
-func TestWriteFileAtomic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sub", "f.txt")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFileAtomic(path, []byte("hello"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if data, _ := os.ReadFile(path); string(data) != "hello" {
-		t.Fatalf("content %q", data)
-	}
-	if err := WriteFileAtomic(path, []byte("replaced"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if data, _ := os.ReadFile(path); string(data) != "replaced" {
-		t.Fatalf("content %q", data)
+	for _, g := range []struct {
+		path string
+		seq  uint64
+	}{{path, 3}, {st.PrevPath(), 2}} {
+		data, err := os.ReadFile(g.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, hdr, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(g.path), err)
+		}
+		if hdr.Seq != g.seq {
+			t.Fatalf("%s holds seq %d, want %d", filepath.Base(g.path), hdr.Seq, g.seq)
+		}
 	}
 }

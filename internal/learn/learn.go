@@ -35,8 +35,15 @@ package learn
 import (
 	"fmt"
 
+	"solarsched/internal/atomicio"
 	"solarsched/internal/fleet"
+	"solarsched/internal/store"
 )
+
+// fileFormat is the envelope of the registry manifest and the telemetry
+// segments: a store entry's, keyed by a fixed label, so a torn or corrupt
+// file is detected the way a corrupt entry is.
+var fileFormat = atomicio.Format{Magic: store.Magic, Version: store.FormatVersion}
 
 // Key canonicalizes a model lineage: one lineage per (graph, bank size,
 // offline-training spec) triple, the same identity fleet.NetworkFor caches

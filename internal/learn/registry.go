@@ -18,8 +18,8 @@ import (
 	"solarsched/internal/store"
 )
 
-// manifestSeal is the envelope label of the registry manifest file.
-const manifestSeal = "solarsched-model-registry"
+// manifestLabel is the envelope key of the registry manifest file.
+const manifestLabel = "solarsched-model-registry"
 
 // manifestFormat is the manifest schema version.
 const manifestFormat = 1
@@ -120,7 +120,7 @@ func (r *Registry) load() error {
 		}
 		return fmt.Errorf("learn: reading manifest: %w", err)
 	}
-	payload, err := store.Unseal(manifestSeal, data)
+	payload, err := atomicio.OpenKeyed(fileFormat, data, manifestLabel)
 	if err != nil {
 		return fmt.Errorf("learn: manifest corrupt (restore from a backup or remove %s): %w", r.manifestPath(), err)
 	}
@@ -153,7 +153,7 @@ func (r *Registry) saveLocked() error {
 	if err != nil {
 		return fmt.Errorf("learn: encoding manifest: %w", err)
 	}
-	sealed, err := store.Seal(manifestSeal, payload)
+	sealed, err := atomicio.Seal(fileFormat, &atomicio.Keyed{Key: manifestLabel}, payload)
 	if err != nil {
 		return err
 	}

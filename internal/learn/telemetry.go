@@ -10,13 +10,12 @@ import (
 
 	"solarsched/internal/atomicio"
 	"solarsched/internal/obs"
-	"solarsched/internal/store"
 )
 
-// telemetrySeal is the envelope label of a telemetry segment file; the
-// store's Seal/Unseal discipline (length + SHA-256 header) makes torn or
-// corrupt segments detectable and skippable, never fatal.
-const telemetrySeal = "solarsched-telemetry"
+// telemetryLabel is the envelope key of a telemetry segment file; the
+// envelope's length and SHA-256 make torn or corrupt segments detectable
+// and skippable, never fatal.
+const telemetryLabel = "solarsched-telemetry"
 
 // Record is one serving-time observation: what a node reported at a period
 // boundary and what the serving model answered. PrevPowers is the raw
@@ -170,7 +169,7 @@ func readSegment(path string) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := store.Unseal(telemetrySeal, data)
+	payload, err := atomicio.OpenKeyed(fileFormat, data, telemetryLabel)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +232,7 @@ func (t *TelemetryLog) flushLocked() error {
 	if err != nil {
 		return fmt.Errorf("learn: encoding segment: %w", err)
 	}
-	sealed, err := store.Seal(telemetrySeal, payload)
+	sealed, err := atomicio.Seal(fileFormat, &atomicio.Keyed{Key: telemetryLabel}, payload)
 	if err != nil {
 		return err
 	}

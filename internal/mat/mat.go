@@ -70,9 +70,6 @@ func (v Vector) Dot(w Vector) float64 {
 	return sum
 }
 
-// Norm2 returns the Euclidean norm of v.
-func (v Vector) Norm2() float64 { return math.Sqrt(v.Dot(v)) }
-
 // Sum returns the sum of the elements of v.
 func (v Vector) Sum() float64 {
 	s := 0.0

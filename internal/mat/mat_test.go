@@ -48,9 +48,6 @@ func TestVectorOps(t *testing.T) {
 	if got := (Vector{0.1, 5, -2, 5}).ArgMax(); got != 1 {
 		t.Fatalf("ArgMax = %v", got)
 	}
-	if !almost((Vector{3, 4}).Norm2(), 5, 1e-12) {
-		t.Fatal("Norm2")
-	}
 }
 
 func TestVectorDimensionPanics(t *testing.T) {

@@ -364,7 +364,6 @@ func (s *Server) executor() {
 func (s *Server) execute(j *job) {
 	s.store.setRunning(j)
 	span := s.reg.StartSpan("serve/job").Tag("job_id", j.id).Tag("request_id", j.reqID)
-	defer span.End()
 	s.log.Info("job started", "request_id", j.reqID, "job_id", j.id, "runs", j.runs)
 	sw := s.m.jobSeconds.Start()
 	h0, m0 := s.cache.Stats()
@@ -399,6 +398,9 @@ func (s *Server) execute(j *job) {
 	if rep != nil {
 		span.Tag("digest", rep.AggregateDigest())
 	}
+	// The span is recorded before the job reads as finished, so a client
+	// answered on completion (?wait=1) finds it in the trace.
+	span.End()
 	s.finishJob(j, rep, err, h1-h0, m1-m0)
 }
 

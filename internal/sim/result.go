@@ -119,9 +119,6 @@ func (r *Result) DirectUseRatio() float64 {
 	return (r.Delivered - r.DrawnOut) / r.Harvested
 }
 
-// MigratedEnergy returns the energy that took the store-and-use path (J).
-func (r *Result) MigratedEnergy() float64 { return r.StoredIn }
-
 // String summarizes the run.
 func (r *Result) String() string {
 	return fmt.Sprintf("%s: DMR=%.3f (%d/%d missed), util=%.3f, harvested=%.1fJ delivered=%.1fJ leaked=%.1fJ",

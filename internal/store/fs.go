@@ -36,15 +36,8 @@ type FS interface {
 	TryLock(name string, data []byte, perm os.FileMode) (release func(), err error)
 }
 
-// osFS is the real filesystem.
-type osFS struct{}
-
-func (osFS) CreateTemp(dir, pattern string) (atomicio.File, error) {
-	return atomicio.OS.CreateTemp(dir, pattern)
-}
-func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error             { return os.Remove(name) }
-func (osFS) SyncDir(dir string) error             { return atomicio.SyncDir(dir) }
+// osFS is the real filesystem: atomicio's write side, plus the rest.
+type osFS struct{ atomicio.FS }
 
 func (osFS) ReadFile(name string) ([]byte, error)        { return os.ReadFile(name) }
 func (osFS) MkdirAll(dir string, perm os.FileMode) error { return os.MkdirAll(dir, perm) }
@@ -53,4 +46,4 @@ func (osFS) Stat(name string) (fs.FileInfo, error)       { return os.Stat(name) 
 func (osFS) Chtimes(name string, a, m time.Time) error   { return os.Chtimes(name, a, m) }
 
 // OS is the real filesystem as a store FS.
-var OS FS = osFS{}
+var OS FS = osFS{atomicio.OS}

@@ -7,8 +7,9 @@
 //
 // Robustness is the design center, mirroring the NVP backup/restore
 // discipline the simulator models (DESIGN.md §12): entries are written
-// with the atomicio temp+fsync+rename protocol, carry a SHA-256 of their
-// payload, and are verified on every read. An entry that fails
+// with the atomicio temp+fsync+rename protocol, in atomicio's envelope
+// (a header line with the cache key and the payload's length and
+// SHA-256), and are verified on every read. An entry that fails
 // verification is never served and never fatal: it is atomically moved to
 // quarantine/, counted, and the caller rebuilds it. Maintenance
 // (orphan-temp sweeps, full verification, GC) runs under a kernel
@@ -25,9 +26,6 @@
 package store
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,11 +48,13 @@ const (
 	FormatVersion = 1
 )
 
+var format = atomicio.Format{Magic: Magic, Version: FormatVersion}
+
 var (
 	// ErrNotFound means the key has no entry — the ordinary cache miss.
 	ErrNotFound = errors.New("store: artifact not found")
-	// ErrCorruptArtifact wraps every verification failure: torn or
-	// truncated envelope, digest mismatch, key mismatch. The entry has
+	// ErrCorruptArtifact wraps every verification failure: each
+	// atomicio.ErrCorrupt case, key mismatch included. The entry has
 	// already been quarantined when this is returned; callers rebuild.
 	ErrCorruptArtifact = errors.New("store: corrupt artifact")
 	// ErrLocked means another process holds the maintenance lock.
@@ -173,84 +173,14 @@ func (s *Store) entryPath(kind, digest string) string {
 	return filepath.Join(s.objectsDir(), kind, digest+".art")
 }
 
-// header is the self-describing first line of an artifact file, the same
-// envelope discipline as a checkpoint: JSON terminated by '\n', then
-// exactly PayloadBytes of payload. One hash pass verifies the whole file.
-type header struct {
-	Magic         string `json:"magic"`
-	Version       int    `json:"version"`
-	Key           string `json:"key"`
-	PayloadBytes  int    `json:"payload_bytes"`
-	PayloadSHA256 string `json:"payload_sha256"`
-}
-
-// encodeEnvelope wraps payload for key.
-func encodeEnvelope(key string, payload []byte) ([]byte, error) {
-	sum := sha256.Sum256(payload)
-	hb, err := json.Marshal(header{
-		Magic:         Magic,
-		Version:       FormatVersion,
-		Key:           key,
-		PayloadBytes:  len(payload),
-		PayloadSHA256: hex.EncodeToString(sum[:]),
-	})
+// openEntry verifies an entry's envelope against key and returns the
+// payload. Any failure means the entry must not be served.
+func openEntry(key string, data []byte) ([]byte, error) {
+	payload, err := atomicio.OpenKeyed(format, data, key)
 	if err != nil {
-		return nil, fmt.Errorf("store: encode header: %w", err)
-	}
-	var buf bytes.Buffer
-	buf.Grow(len(hb) + 1 + len(payload))
-	buf.Write(hb)
-	buf.WriteByte('\n')
-	buf.Write(payload)
-	return buf.Bytes(), nil
-}
-
-// decodeEnvelope verifies data against key and returns the payload. Any
-// failure means the entry must not be served.
-func decodeEnvelope(key string, data []byte) ([]byte, error) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("%w: missing header line", ErrCorruptArtifact)
-	}
-	var hdr header
-	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
-		return nil, fmt.Errorf("%w: bad header: %v", ErrCorruptArtifact, err)
-	}
-	if hdr.Magic != Magic {
-		return nil, fmt.Errorf("%w: not an artifact file (magic %q)", ErrCorruptArtifact, hdr.Magic)
-	}
-	if hdr.Version != FormatVersion {
-		return nil, fmt.Errorf("%w: format version %d, this build reads %d", ErrCorruptArtifact, hdr.Version, FormatVersion)
-	}
-	if key != "" && hdr.Key != key {
-		return nil, fmt.Errorf("%w: entry holds key %q, path says %q", ErrCorruptArtifact, hdr.Key, key)
-	}
-	payload := data[nl+1:]
-	if len(payload) != hdr.PayloadBytes {
-		return nil, fmt.Errorf("%w: payload is %d bytes, header says %d (torn write)",
-			ErrCorruptArtifact, len(payload), hdr.PayloadBytes)
-	}
-	sum := sha256.Sum256(payload)
-	if got := hex.EncodeToString(sum[:]); got != hdr.PayloadSHA256 {
-		return nil, fmt.Errorf("%w: payload sha256 %s, header says %s", ErrCorruptArtifact, got, hdr.PayloadSHA256)
+		return nil, fmt.Errorf("%w: %w", ErrCorruptArtifact, err)
 	}
 	return payload, nil
-}
-
-// Seal wraps payload in the store's self-verifying envelope under an
-// arbitrary label. It is the same discipline entries use on disk —
-// header line with payload length + SHA-256, then the payload — exposed
-// so other on-disk formats (the learn registry's manifest and telemetry
-// log) can detect torn or corrupt messages the same way the store does.
-func Seal(label string, payload []byte) ([]byte, error) {
-	return encodeEnvelope(label, payload)
-}
-
-// Unseal verifies data sealed under label and returns the payload. Any
-// failure — torn write, flipped bit, wrong label — reports
-// ErrCorruptArtifact; callers treat the message as absent.
-func Unseal(label string, data []byte) ([]byte, error) {
-	return decodeEnvelope(label, data)
 }
 
 // Put publishes payload under key. The write is atomic: a crash at any
@@ -267,7 +197,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		s.countPutError()
 		return fmt.Errorf("store: put %s: %w", key, err)
 	}
-	data, err := encodeEnvelope(key, payload)
+	data, err := atomicio.Seal(format, &atomicio.Keyed{Key: key}, payload)
 	if err != nil {
 		s.countPutError()
 		return err
@@ -299,7 +229,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("store: get %s: %w", key, err)
 	}
-	payload, err := decodeEnvelope(key, data)
+	payload, err := openEntry(key, data)
 	if err != nil {
 		s.quarantine(path, err)
 		s.misses.Add(1)
@@ -526,7 +456,7 @@ func (s *Store) Verify() (VerifyStats, error) {
 		vs.Checked++
 		data, err := s.fsys.ReadFile(e.path)
 		if err == nil {
-			_, err = decodeEnvelope(e.key, data)
+			_, err = openEntry(e.key, data)
 		}
 		if err != nil {
 			s.quarantine(e.path, err)

@@ -205,20 +205,6 @@ func (g *Graph) Validate(periodSeconds float64) error {
 	return nil
 }
 
-// MaxConcurrentPower returns an upper bound on the node's instantaneous
-// load: the sum over NVPs of the most power-hungry task bound to each.
-func (g *Graph) MaxConcurrentPower() float64 {
-	perNVP := make([]float64, g.NumNVPs)
-	for _, t := range g.Tasks {
-		perNVP[t.NVP] = math.Max(perNVP[t.NVP], t.Power)
-	}
-	sum := 0.0
-	for _, p := range perNVP {
-		sum += p
-	}
-	return sum
-}
-
 // Scale returns a copy of the graph with every task's power multiplied by
 // powerFactor — used to sweep workload intensity in calibration studies.
 func (g *Graph) Scale(powerFactor float64) *Graph {

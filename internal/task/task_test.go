@@ -191,20 +191,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestMaxConcurrentPower(t *testing.T) {
-	g := WAM()
-	p := g.MaxConcurrentPower()
-	if p <= 0 || p > 0.2 {
-		t.Fatalf("MaxConcurrentPower = %v W implausible", p)
-	}
-	// Must be at least the most power-hungry single task.
-	for _, tk := range g.Tasks {
-		if p < tk.Power {
-			t.Fatalf("bound %v below single task %v", p, tk.Power)
-		}
-	}
-}
-
 func TestRandomDeterministic(t *testing.T) {
 	a := Random("r", 7, period, 60)
 	b := Random("r", 7, period, 60)
